@@ -83,13 +83,14 @@ type measurement struct {
 
 // artifact is the BENCH_run.json schema.
 type artifact struct {
-	GeneratedBy string `json:"generated_by"`
-	Workload    string `json:"workload"`
-	Objects     int    `json:"objects"`
-	Duration    string `json:"simulated_duration"`
-	Seed        int64  `json:"seed"`
-	Runs        int    `json:"runs"`
-	TotalServed int64  `json:"total_served"`
+	GeneratedBy string  `json:"generated_by"`
+	Machine     machine `json:"machine"`
+	Workload    string  `json:"workload"`
+	Objects     int     `json:"objects"`
+	Duration    string  `json:"simulated_duration"`
+	Seed        int64   `json:"seed"`
+	Runs        int     `json:"runs"`
+	TotalServed int64   `json:"total_served"`
 
 	Baseline measurement `json:"baseline"`
 	Current  measurement `json:"current"`
@@ -114,6 +115,7 @@ type suiteMeasurement struct {
 // suiteArtifact is the BENCH_suite.json schema.
 type suiteArtifact struct {
 	GeneratedBy  string  `json:"generated_by"`
+	Machine      machine `json:"machine"`
 	Suite        string  `json:"suite"`
 	Seeds        []int64 `json:"seeds"`
 	RunsPerLevel int     `json:"runs_per_level"`
@@ -200,6 +202,7 @@ func runMode(out string, runs int) bool {
 
 	art := artifact{
 		GeneratedBy: "go run ./cmd/radar-bench",
+		Machine:     currentMachine(),
 		Workload:    string(cfg.Workload),
 		Objects:     cfg.Objects,
 		Duration:    cfg.Duration.String(),
@@ -254,6 +257,7 @@ func suiteMode(out string, runs int) bool {
 	levels := suiteLevels()
 	art := suiteArtifact{
 		GeneratedBy:  "go run ./cmd/radar-bench -mode=suite",
+		Machine:      currentMachine(),
 		Suite:        "multi-seed quick suite (2 seeds x 8 runs)",
 		Seeds:        suiteSeeds,
 		RunsPerLevel: runs,
@@ -405,18 +409,18 @@ type bigrunMeasurement struct {
 
 // bigrunArtifact is the BENCH_bigrun.json schema.
 type bigrunArtifact struct {
-	GeneratedBy  string `json:"generated_by"`
-	Topology     string `json:"topology"`
-	Hosts        int    `json:"hosts"`
-	Objects      int    `json:"objects"`
-	Duration     string `json:"simulated_duration"`
-	Seed         int64  `json:"seed"`
-	RunsPerLevel int    `json:"runs_per_level"`
-	// GOMAXPROCS is recorded because the shard workers can only run
-	// concurrently up to this many OS threads; on a single-core machine
-	// the sweep measures barrier/merge overhead, not speedup.
-	GOMAXPROCS  int   `json:"gomaxprocs"`
-	TotalServed int64 `json:"total_served"`
+	GeneratedBy string `json:"generated_by"`
+	// Machine.GOMAXPROCS bounds how many shard workers run at once; on
+	// a single-core machine the sweep measures barrier/merge overhead,
+	// not speedup.
+	Machine      machine `json:"machine"`
+	Topology     string  `json:"topology"`
+	Hosts        int     `json:"hosts"`
+	Objects      int     `json:"objects"`
+	Duration     string  `json:"simulated_duration"`
+	Seed         int64   `json:"seed"`
+	RunsPerLevel int     `json:"runs_per_level"`
+	TotalServed  int64   `json:"total_served"`
 
 	Levels []bigrunMeasurement `json:"levels"`
 	// HashesMatch is true when every level produced bit-identical Results
@@ -447,13 +451,13 @@ func bigrunConfig(objects int, duration time.Duration, shards int) (sim.Config, 
 func bigrunMode(out string, runs, objects int, duration time.Duration) bool {
 	art := bigrunArtifact{
 		GeneratedBy:  "go run ./cmd/radar-bench -mode=bigrun",
+		Machine:      currentMachine(),
 		Topology:     "transit-stub(4 domains, 4 hubs, 15 stubs/hub)",
 		Hosts:        topology.TransitStub(4, 4, 15).NumNodes(),
 		Objects:      objects,
 		Duration:     duration.String(),
 		Seed:         1,
 		RunsPerLevel: runs,
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
 	}
 	for _, shards := range bigrunShards {
 		var best bigrunMeasurement
@@ -484,7 +488,7 @@ func bigrunMode(out string, runs, objects int, duration time.Duration) bool {
 			art.SpeedupShards4 = float64(art.Levels[0].WallNS) / float64(l.WallNS)
 		}
 	}
-	if art.GOMAXPROCS < 2 {
+	if art.Machine.GOMAXPROCS < 2 {
 		art.Note = "single-core environment: shard workers serialize onto one OS thread, so wall times measure sharding overhead, not speedup"
 	}
 	if !writeArtifact(out, art) {

@@ -2,8 +2,10 @@ package live_test
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -179,4 +181,62 @@ func TestMalformedRPCAnswers400(t *testing.T) {
 	if got := nodeStats(t, h.Fleet.URL(0)).CreateExecutions; got != 0 {
 		t.Fatalf("malformed bodies executed %d creates", got)
 	}
+}
+
+// TestOutOfRangeIDsAnswer400: every endpoint that takes an object ID
+// rejects IDs beyond the object universe with a 400 naming the universe,
+// node IDs beyond the fleet are rejected likewise, and the node keeps
+// answering afterwards (a handler that panicked under the node lock would
+// leave it wedged).
+func TestOutOfRangeIDsAnswer400(t *testing.T) {
+	cfg := liveConfig(t, topology.Line(2), 4, 1, time.Minute)
+	h := livetest.Start(t, cfg)
+	node := live.RedirectorLocations(h.Fleet.Routes(), cfg.Sim.NumRedirectors)[0]
+	url := h.Fleet.URL(node)
+	client := &http.Client{Timeout: time.Second}
+	post := func(path string, msg any) *http.Request {
+		req, _ := http.NewRequest(http.MethodPost, url+path, bytes.NewReader(live.Encode(msg)))
+		return req
+	}
+	get := func(format string, args ...any) *http.Request {
+		req, _ := http.NewRequest(http.MethodGet, url+fmt.Sprintf(format, args...), nil)
+		return req
+	}
+	expect400 := func(req *http.Request, want string) {
+		t.Helper()
+		res, err := client.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", req.Method, req.URL, err)
+		}
+		reason, _ := io.ReadAll(res.Body)
+		res.Body.Close()
+		if res.StatusCode != http.StatusBadRequest || !strings.Contains(string(reason), want) {
+			t.Fatalf("%s %s: status %d %q, want 400 containing %q", req.Method, req.URL, res.StatusCode, reason, want)
+		}
+		res, err = client.Get(url + live.PathStats)
+		if err != nil {
+			t.Fatalf("stats after %s %s: %v (node wedged)", req.Method, req.URL, err)
+		}
+		res.Body.Close()
+	}
+	for _, obj := range []int64{int64(cfg.Sim.Universe.Count), 1 << 62} {
+		for _, req := range []*http.Request{
+			post(live.PathComplete, &live.CompleteMsg{Object: obj, Gateway: 0, Now: 1}),
+			post(live.PathNotify, &live.NotifyMsg{MsgID: 1, Object: obj, Host: 0, Aff: 1}),
+			post(live.PathRequestDrop, &live.DropMsg{MsgID: 1, Object: obj, Host: 0}),
+			post(live.PathCreateObj, &live.CreateObjMsg{
+				MsgID: 1, From: 0, To: int(node), Method: protocol.Replicate.String(),
+				Object: obj, UnitLoad: 1, SrcAff: 1, Now: 1,
+			}),
+			get("%s%d?g=0&now=1", live.PathObj, obj),
+			get("%s%d?g=0&now=1", live.PathServe, obj),
+			get("%s%d", live.PathFetch, obj),
+			get("%s?obj=%d&now=1", live.PathLoad, obj),
+			get("%s?obj=%d", live.PathReplicas, obj),
+		} {
+			expect400(req, "outside the universe")
+		}
+	}
+	expect400(post(live.PathComplete, &live.CompleteMsg{Object: 0, Gateway: 2, Now: 1}), "gateway 2")
+	expect400(post(live.PathNotify, &live.NotifyMsg{MsgID: 2, Object: 0, Host: 2, Aff: 1}), "host 2")
 }

@@ -772,6 +772,27 @@ func readBody(w http.ResponseWriter, r *http.Request, msg validator) bool {
 	return true
 }
 
+// readObject converts a wire object ID, answering 400 with a *WireError
+// when it lies outside the object universe. Every handler that hands a
+// wire ID to the server, host or redirector goes through it: their state
+// covers only the universe, so an ID beyond it is a malformed request,
+// not something to record.
+func (nd *Node) readObject(w http.ResponseWriter, field string, v int64) (object.ID, bool) {
+	if err := nd.checkObject(field, v); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return 0, false
+	}
+	return object.ID(v), true
+}
+
+// checkObject validates a wire object ID against the object universe.
+func (nd *Node) checkObject(field string, v int64) error {
+	if n := nd.cfg.Sim.Universe.Count; v < 0 || v >= int64(n) {
+		return &WireError{Field: field, Reason: fmt.Sprintf("object id %d outside the universe [0, %d)", v, n)}
+	}
+	return nil
+}
+
 func writeJSON(w http.ResponseWriter, msg any) {
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(Encode(msg))
@@ -786,12 +807,15 @@ func (nd *Node) handleCreateObj(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("live: createobj addressed to node %d, this is node %d of %d", msg.To, nd.id, nd.n), http.StatusBadRequest)
 		return
 	}
+	id, ok := nd.readObject(w, "object", msg.Object)
+	if !ok {
+		return
+	}
 	method, _ := ParseMethod(msg.Method) // validated by Decode
 	reply, ok := nd.creates.do(msg.MsgID, func() ([]byte, bool) {
 		if !nd.lockMu() {
 			return nil, false
 		}
-		id := object.ID(msg.Object)
 		hadBefore := nd.host.Has(id)
 		accepted := nd.host.CreateObj(nd.resolveNow(msg.Now), method, id, msg.UnitLoad, msg.SrcAff, topology.NodeID(msg.From))
 		nd.mu.Unlock()
@@ -817,10 +841,18 @@ func (nd *Node) handleNotify(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "live: node hosts no redirector", http.StatusBadRequest)
 		return
 	}
+	id, ok := nd.readObject(w, "object", msg.Object)
+	if !ok {
+		return
+	}
+	if msg.Host >= nd.n {
+		http.Error(w, fmt.Sprintf("live: notify names host %d, fleet has %d nodes", msg.Host, nd.n), http.StatusBadRequest)
+		return
+	}
 	// Replica-change notifications set the recorded affinity, so retries
 	// and duplicates are naturally idempotent — no verdict cache needed.
 	nd.redMu.Lock()
-	nd.redirector.NotifyReplicaChange(object.ID(msg.Object), topology.NodeID(msg.Host), msg.Aff)
+	nd.redirector.NotifyReplicaChange(id, topology.NodeID(msg.Host), msg.Aff)
 	nd.redMu.Unlock()
 	writeJSON(w, struct{}{})
 }
@@ -834,12 +866,16 @@ func (nd *Node) handleRequestDrop(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "live: node hosts no redirector", http.StatusBadRequest)
 		return
 	}
+	id, ok := nd.readObject(w, "object", msg.Object)
+	if !ok {
+		return
+	}
 	// Drop arbitration is not naturally idempotent (an approved drop
 	// removes the record, so a replayed request would read "no replica"),
 	// hence the verdict cache.
 	reply, _ := nd.drops.do(msg.MsgID, func() ([]byte, bool) {
 		nd.redMu.Lock()
-		ok := nd.redirector.RequestDrop(object.ID(msg.Object), topology.NodeID(msg.Host))
+		ok := nd.redirector.RequestDrop(id, topology.NodeID(msg.Host))
 		nd.redMu.Unlock()
 		return Encode(DropReply{MsgID: msg.MsgID, Approved: ok}), true
 	})
@@ -849,6 +885,20 @@ func (nd *Node) handleRequestDrop(w http.ResponseWriter, r *http.Request) {
 
 func (nd *Node) handleLoad(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
+	objStr := q.Get("obj")
+	var obj, now int64
+	if objStr != "" {
+		var err1, err2 error
+		obj, err1 = strconv.ParseInt(objStr, 10, 64)
+		now, err2 = strconv.ParseInt(q.Get("now"), 10, 64)
+		if err1 != nil || err2 != nil || now < 0 {
+			http.Error(w, "live: bad obj/now query", http.StatusBadRequest)
+			return
+		}
+		if _, ok := nd.readObject(w, "obj", obj); !ok {
+			return
+		}
+	}
 	if !nd.lockMu() {
 		http.Error(w, "live: node busy", http.StatusServiceUnavailable)
 		return
@@ -859,14 +909,7 @@ func (nd *Node) handleLoad(w http.ResponseWriter, r *http.Request) {
 		Low:        p.LowWatermark,
 		High:       p.HighWatermark,
 	}
-	if objStr := q.Get("obj"); objStr != "" {
-		obj, err1 := strconv.ParseInt(objStr, 10, 64)
-		now, err2 := strconv.ParseInt(q.Get("now"), 10, 64)
-		if err1 != nil || err2 != nil || obj < 0 || now < 0 {
-			nd.mu.Unlock()
-			http.Error(w, "live: bad obj/now query", http.StatusBadRequest)
-			return
-		}
+	if objStr != "" {
 		rep.Has = nd.host.Has(object.ID(obj))
 		rep.Halted = nd.host.AcquisitionHalted(nd.resolveNow(now))
 	}
@@ -879,16 +922,20 @@ func (nd *Node) handleReplicas(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "live: node hosts no redirector", http.StatusBadRequest)
 		return
 	}
-	obj, err := strconv.ParseInt(r.URL.Query().Get("obj"), 10, 64)
-	if err != nil || obj < 0 {
+	v, err := strconv.ParseInt(r.URL.Query().Get("obj"), 10, 64)
+	if err != nil {
 		http.Error(w, "live: bad obj query", http.StatusBadRequest)
+		return
+	}
+	id, ok := nd.readObject(w, "obj", v)
+	if !ok {
 		return
 	}
 	wantHosts := r.URL.Query().Get("hosts") != ""
 	nd.redMu.Lock()
-	rep := ReplicasReply{Count: nd.redirector.ReplicaCount(object.ID(obj))}
+	rep := ReplicasReply{Count: nd.redirector.ReplicaCount(id)}
 	if wantHosts {
-		for _, h := range nd.redirector.ReplicaHosts(object.ID(obj), nil) {
+		for _, h := range nd.redirector.ReplicaHosts(id, nil) {
 			rep.Hosts = append(rep.Hosts, int(h))
 		}
 	}
@@ -898,14 +945,17 @@ func (nd *Node) handleReplicas(w http.ResponseWriter, r *http.Request) {
 
 // objQuery parses the {id}, g and now parameters of an object-request
 // endpoint.
-func objQuery(r *http.Request, prefix string, n int) (object.ID, topology.NodeID, time.Duration, error) {
+func (nd *Node) objQuery(r *http.Request, prefix string) (object.ID, topology.NodeID, time.Duration, error) {
 	idStr := r.URL.Path[len(prefix):]
 	id, err := strconv.ParseInt(idStr, 10, 64)
-	if err != nil || id < 0 {
+	if err != nil {
 		return 0, 0, 0, fmt.Errorf("live: bad object id %q", idStr)
 	}
+	if err := nd.checkObject("id", id); err != nil {
+		return 0, 0, 0, err
+	}
 	g, err := strconv.Atoi(r.URL.Query().Get("g"))
-	if err != nil || g < 0 || g >= n {
+	if err != nil || g < 0 || g >= nd.n {
 		return 0, 0, 0, fmt.Errorf("live: bad gateway %q", r.URL.Query().Get("g"))
 	}
 	now, err := strconv.ParseInt(r.URL.Query().Get("now"), 10, 64)
@@ -920,7 +970,7 @@ func objQuery(r *http.Request, prefix string, n int) (object.ID, topology.NodeID
 // redirector->host control hop) in the response headers. now is the
 // request's virtual arrival time at the redirector.
 func (nd *Node) handleObj(w http.ResponseWriter, r *http.Request) {
-	id, g, wireNow, err := objQuery(r, PathObj, nd.n)
+	id, g, wireNow, err := nd.objQuery(r, PathObj)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -957,7 +1007,7 @@ func (nd *Node) handleObj(w http.ResponseWriter, r *http.Request) {
 // measurement and access counts record the serviced request — exactly the
 // simulator's two-phase arrival/completion split.
 func (nd *Node) handleServe(w http.ResponseWriter, r *http.Request) {
-	id, g, wireNow, err := objQuery(r, PathServe, nd.n)
+	id, g, wireNow, err := nd.objQuery(r, PathServe)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -1014,8 +1064,12 @@ func (nd *Node) scheduleCompletion(id object.ID, g topology.NodeID, done time.Du
 }
 
 func (nd *Node) handleFetch(w http.ResponseWriter, r *http.Request) {
-	if _, err := strconv.ParseInt(r.URL.Path[len(PathFetch):], 10, 64); err != nil {
+	v, err := strconv.ParseInt(r.URL.Path[len(PathFetch):], 10, 64)
+	if err != nil {
 		http.Error(w, "live: bad object id", http.StatusBadRequest)
+		return
+	}
+	if _, ok := nd.readObject(w, "id", v); !ok {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -1053,9 +1107,17 @@ func (nd *Node) handleComplete(w http.ResponseWriter, r *http.Request) {
 	if !readBody(w, r, &msg) {
 		return
 	}
+	id, ok := nd.readObject(w, "object", msg.Object)
+	if !ok {
+		return
+	}
+	if msg.Gateway >= nd.n {
+		http.Error(w, fmt.Sprintf("live: completion names gateway %d, fleet has %d nodes", msg.Gateway, nd.n), http.StatusBadRequest)
+		return
+	}
 	nd.mu.Lock()
-	nd.srv.OnServed(object.ID(msg.Object))
-	nd.host.OnRequest(object.ID(msg.Object), topology.NodeID(msg.Gateway))
+	nd.srv.OnServed(id)
+	nd.host.OnRequest(id, topology.NodeID(msg.Gateway))
 	nd.mu.Unlock()
 	writeJSON(w, struct{}{})
 }

@@ -47,22 +47,19 @@ type Server struct {
 
 	busyUntil time.Duration
 
-	// Current (open) interval accumulation. Object IDs are dense small
-	// integers, so per-object counters are slices indexed by ID with a
-	// touched-list instead of maps: the per-request update is an indexed
-	// increment, and CloseInterval only walks objects actually served.
+	// Current (open) interval accumulation. Per-object counts live in
+	// maps keyed by object ID, so a host's memory grows with the distinct
+	// objects it serves in one interval (at most capacity × interval), not
+	// with the object-ID space. int32 is ample for one interval.
 	intervalStart time.Duration
 	served        int64
-	servedPerObj  []int32 // indexed by object.ID, grown on demand;
-	// int32 is ample for one measurement interval and keeps the dense
-	// per-object counter block cache-resident
+	servedPerObj  map[object.ID]int32
 
-	servedTouched []object.ID // IDs with non-zero servedPerObj entries
-
-	// Last completed interval's measurements.
+	// Last completed interval's measurements: per-object counts and the
+	// interval's length, from which ObjectLoad derives the load.
 	measuredLoad float64
-	objLoad      []float64   // indexed by object.ID, grown on demand
-	loadTouched  []object.ID // IDs with non-zero objLoad entries
+	lastPerObj   map[object.ID]int32
+	lastSecs     float64
 
 	// Lifetime counters.
 	totalServed int64
@@ -76,21 +73,12 @@ func New(id topology.NodeID, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	return &Server{
-		ID:          id,
-		serviceTime: time.Duration(float64(time.Second) / cfg.CapacityRPS),
-		interval:    cfg.MeasurementInterval,
+		ID:           id,
+		serviceTime:  time.Duration(float64(time.Second) / cfg.CapacityRPS),
+		interval:     cfg.MeasurementInterval,
+		servedPerObj: make(map[object.ID]int32),
+		lastPerObj:   make(map[object.ID]int32),
 	}, nil
-}
-
-// growTo returns s grown to length n, zero-filling new elements and
-// reusing spare capacity when possible. n must be at least len(s).
-func growTo[T any](s []T, n int) []T {
-	if n <= cap(s) {
-		return s[:n]
-	}
-	grown := make([]T, n, max(2*cap(s), n))
-	copy(grown, s)
-	return grown
 }
 
 // Enqueue admits a request arriving at now into the FCFS queue and returns
@@ -117,12 +105,6 @@ func (s *Server) Enqueue(now time.Duration, storageCost time.Duration) time.Dura
 func (s *Server) OnServed(id object.ID) {
 	s.served++
 	s.totalServed++
-	if int(id) >= len(s.servedPerObj) {
-		s.servedPerObj = growTo(s.servedPerObj, int(id)+1)
-	}
-	if s.servedPerObj[id] == 0 {
-		s.servedTouched = append(s.servedTouched, id)
-	}
 	s.servedPerObj[id]++
 	if s.queueLen > 0 {
 		s.queueLen--
@@ -141,19 +123,11 @@ func (s *Server) CloseInterval(now time.Duration) (closedStart time.Duration) {
 		return closedStart
 	}
 	s.measuredLoad = float64(s.served) / secs
-	for _, id := range s.loadTouched {
-		s.objLoad[id] = 0
-	}
-	s.loadTouched = s.loadTouched[:0]
-	if len(s.servedPerObj) > len(s.objLoad) {
-		s.objLoad = growTo(s.objLoad, len(s.servedPerObj))
-	}
-	for _, id := range s.servedTouched {
-		s.objLoad[id] = float64(s.servedPerObj[id]) / secs
-		s.servedPerObj[id] = 0
-		s.loadTouched = append(s.loadTouched, id)
-	}
-	s.servedTouched = s.servedTouched[:0]
+	// Swap and clear rather than reallocate: both maps keep their grown
+	// storage, so OnServed stops allocating once they are warm.
+	s.lastPerObj, s.servedPerObj = s.servedPerObj, s.lastPerObj
+	clear(s.servedPerObj)
+	s.lastSecs = secs
 	s.served = 0
 	s.intervalStart = now
 	return closedStart
@@ -166,10 +140,11 @@ func (s *Server) Load() float64 { return s.measuredLoad }
 // ObjectLoad returns the measured load attributed to id over the last
 // completed interval. It implements protocol.LoadSource.
 func (s *Server) ObjectLoad(id object.ID) float64 {
-	if int(id) >= len(s.objLoad) {
-		return 0
+	n := s.lastPerObj[id]
+	if n == 0 {
+		return 0 // also before the first close, where lastSecs is 0
 	}
-	return s.objLoad[id]
+	return float64(n) / s.lastSecs
 }
 
 // QueueDelay returns how long a request arriving at now would wait before

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -223,5 +224,130 @@ func TestEnqueueStorageCost(t *testing.T) {
 	d2 := s.Enqueue(0, 0)
 	if d2 != 15*time.Millisecond {
 		t.Fatalf("second completion = %v, want 15ms (queued behind storage)", d2)
+	}
+}
+
+// denseRef is the reference model of a server's load measurement: dense
+// per-object counters indexed by ID over a small universe, with each
+// closed interval's per-object load computed at close.
+type denseRef struct {
+	intervalStart time.Duration
+	served        int64
+	totalServed   int64
+	perObj        []int32
+	measuredLoad  float64
+	objLoad       []float64
+}
+
+func newDenseRef(objects int) *denseRef {
+	return &denseRef{perObj: make([]int32, objects), objLoad: make([]float64, objects)}
+}
+
+func (r *denseRef) onServed(id object.ID) {
+	r.served++
+	r.totalServed++
+	r.perObj[id]++
+}
+
+func (r *denseRef) closeInterval(now time.Duration) time.Duration {
+	start := r.intervalStart
+	secs := (now - r.intervalStart).Seconds()
+	if secs <= 0 {
+		return start
+	}
+	r.measuredLoad = float64(r.served) / secs
+	for id, n := range r.perObj {
+		r.objLoad[id] = float64(n) / secs
+		r.perObj[id] = 0
+	}
+	r.served = 0
+	r.intervalStart = now
+	return start
+}
+
+// TestServerMatchesDenseReference drives random OnServed/Enqueue/
+// CloseInterval sequences — including zero-length intervals, reads before
+// the first close, and objects served only in older intervals — and
+// requires bit-identical loads against the dense reference model.
+func TestServerMatchesDenseReference(t *testing.T) {
+	const objects = 12
+	for seed := int64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := newServer(t, 200)
+		ref := newDenseRef(objects)
+		now := time.Duration(0)
+		check := func(step int) {
+			t.Helper()
+			if s.Load() != ref.measuredLoad {
+				t.Fatalf("seed %d step %d: Load = %v, reference %v", seed, step, s.Load(), ref.measuredLoad)
+			}
+			if s.TotalServed() != ref.totalServed {
+				t.Fatalf("seed %d step %d: TotalServed = %d, reference %d", seed, step, s.TotalServed(), ref.totalServed)
+			}
+			for id := 0; id < objects; id++ {
+				got, want := s.ObjectLoad(object.ID(id)), ref.objLoad[id]
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("seed %d step %d: ObjectLoad(%d) = %v, reference %v", seed, step, id, got, want)
+				}
+			}
+		}
+		check(-1) // before the first close
+		for step := 0; step < 400; step++ {
+			switch op := rng.Intn(20); {
+			case op < 14:
+				// Skewed object choice: a few objects go quiet for whole
+				// intervals and must read 0 after the next close.
+				id := object.ID(rng.Intn(1 + rng.Intn(objects)))
+				s.OnServed(id)
+				ref.onServed(id)
+			case op < 17:
+				now += time.Duration(rng.Intn(3)) * time.Millisecond
+				s.Enqueue(now, time.Duration(rng.Intn(2))*time.Millisecond)
+			case op < 18:
+				// Zero-length interval: nothing may change.
+				if got, want := s.CloseInterval(now), ref.closeInterval(now); got != want {
+					t.Fatalf("seed %d step %d: zero-length close start = %v, reference %v", seed, step, got, want)
+				}
+			default:
+				now += time.Duration(1+rng.Intn(40_000)) * time.Millisecond / 7
+				if got, want := s.CloseInterval(now), ref.closeInterval(now); got != want {
+					t.Fatalf("seed %d step %d: closed start = %v, reference %v", seed, step, got, want)
+				}
+			}
+			check(step)
+		}
+	}
+}
+
+// TestLoadStateIndependentOfIDSpace: per-object state is keyed by the
+// objects served, so IDs at the far end of the ID space cost no more than
+// small ones, and recording a request for an already-seen object does not
+// allocate once its interval maps are warm.
+func TestLoadStateIndependentOfIDSpace(t *testing.T) {
+	s := newServer(t, 200)
+	big, huge := object.ID(1<<40), object.ID(math.MaxInt)
+	for i := 0; i < 3; i++ {
+		s.OnServed(big)
+	}
+	s.OnServed(huge)
+	s.CloseInterval(20 * time.Second)
+	if got := s.ObjectLoad(big); got != 3.0/20 {
+		t.Fatalf("ObjectLoad(1<<40) = %v, want %v", got, 3.0/20)
+	}
+	if got := s.ObjectLoad(huge); got != 1.0/20 {
+		t.Fatalf("ObjectLoad(MaxInt) = %v, want %v", got, 1.0/20)
+	}
+	if got := s.ObjectLoad(huge - 1); got != 0 {
+		t.Fatalf("ObjectLoad(unserved) = %v, want 0", got)
+	}
+
+	// Warm both interval maps with the IDs, then count allocations.
+	s.OnServed(big)
+	s.OnServed(huge)
+	s.CloseInterval(40 * time.Second)
+	s.OnServed(big)
+	s.OnServed(huge)
+	if allocs := testing.AllocsPerRun(1000, func() { s.OnServed(big) }); allocs != 0 {
+		t.Fatalf("OnServed of a seen object allocates %v times per call, want 0", allocs)
 	}
 }
