@@ -161,39 +161,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// RedirectorLocations reproduces the simulator's redirector placement
-// (sim.buildRedirectors): the k nodes with the smallest average hop
-// distance, selected by (avg, id). Every fleet member and the driver
-// compute the same list from the shared routing table, so the object ->
-// redirector partition needs no coordination.
+// RedirectorLocations is sim.RedirectorLocations, kept for callers of
+// this package.
 func RedirectorLocations(routes *routing.Table, k int) []topology.NodeID {
-	n := routes.NumNodes()
-	if k > n {
-		k = n
-	}
-	type cand struct {
-		id  topology.NodeID
-		avg float64
-	}
-	cands := make([]cand, n)
-	for i := 0; i < n; i++ {
-		cands[i] = cand{topology.NodeID(i), routes.AvgDistance(topology.NodeID(i))}
-	}
-	for i := 0; i < k; i++ {
-		best := i
-		for j := i + 1; j < n; j++ {
-			if cands[j].avg < cands[best].avg ||
-				(cands[j].avg == cands[best].avg && cands[j].id < cands[best].id) {
-				best = j
-			}
-		}
-		cands[i], cands[best] = cands[best], cands[i]
-	}
-	out := make([]topology.NodeID, k)
-	for i := 0; i < k; i++ {
-		out[i] = cands[i].id
-	}
-	return out
+	return sim.RedirectorLocations(routes, k)
 }
 
 // eventKind maps an observer callback to its wire event kind.

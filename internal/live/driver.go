@@ -3,10 +3,9 @@ package live
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
-	"math"
-	"math/rand"
 	"net/http"
 	"strconv"
 	"time"
@@ -19,27 +18,27 @@ import (
 	"radar/internal/simevent"
 	"radar/internal/simnet"
 	"radar/internal/topology"
-	"radar/internal/workload"
 )
 
-// Driver replays the simulator's exact event schedule against a live
-// fleet: one generator stream per gateway, the periodic measurement,
-// placement, and census ticks, all paced by the same discrete-event engine
-// the simulator runs on. Virtual time is the driver's; the clock-less
-// nodes only learn it from request parameters. Because the schedule
-// structure — which events exist, their times, and their tie-breaking
-// sequence numbers — matches sim.Simulation.RunContext call for call, a
-// fleet driven over loopback reproduces the simulation's decision sequence
-// and metrics, which is what the equivalence test pins.
+// Driver runs the simulator's run schedule (sim.Schedule) against a live
+// fleet: it is the sim.Cluster the schedule drives, over HTTP. The
+// schedule's generators, measurement, placement, and census ticks become
+// redirector GETs and /ctl/measure, /ctl/place, and /ctl/census calls, all
+// paced by a discrete-event engine. Virtual time is the driver's; the
+// clock-less nodes only learn it from request parameters. Because the
+// schedule is the simulator's own — the same events at the same times with
+// the same tie-breaking sequence numbers — a fleet driven over loopback
+// reproduces the simulation's decision sequence and metrics, which is what
+// the equivalence test pins.
 //
 // The driver is single-threaded: every control operation in the fleet is
 // one engine event, executed serially. That is also what makes the nodes'
 // cross-node RPCs deadlock-free (no two placement passes overlap).
 //
 // Network accounting (byte-hops, latencies, control overhead) runs on the
-// driver's own simnet.Network and metrics.Collector — the live transport
-// carries the real bytes, the model prices them, exactly as the simulator
-// prices its virtual transfers.
+// driver's own simnet.Network and metrics.Collector through sim.Accounting
+// — the live transport carries the real bytes, the model prices them,
+// exactly as the simulator prices its virtual transfers.
 type Driver struct {
 	cfg     Config
 	urls    []string
@@ -50,21 +49,20 @@ type Driver struct {
 	engine *simevent.Engine
 	net    *simnet.Network
 	col    *metrics.Collector
-	gen    workload.Generator
-	rngs   []*rand.Rand
+	sched  *sim.Schedule
+	acct   *sim.Accounting
 	client *http.Client
 
 	down      []bool
 	decisions []Event
+	err       error // first malformed node event; stops the run
 
 	droppedChoices int64
 	timedOut       int64
-	repairByteHops int64
 	failures       int64
 	faultsSeen     bool
 
 	hooks []hook
-	ran   bool
 }
 
 // hook is a test-scheduled engine event (see At).
@@ -99,17 +97,17 @@ func NewDriver(cfg Config, urls []string) (*Driver, error) {
 	if err != nil {
 		return nil, err
 	}
+	engine := simevent.New()
 	d := &Driver{
 		cfg:     cfg,
 		urls:    append([]string(nil), urls...),
 		routes:  routes,
 		n:       n,
-		redLocs: RedirectorLocations(routes, cfg.Sim.NumRedirectors),
-		engine:  simevent.New(),
+		redLocs: sim.RedirectorLocations(routes, cfg.Sim.NumRedirectors),
+		engine:  engine,
 		net:     network,
 		col:     col,
-		gen:     cfg.Sim.Workload,
-		rngs:    make([]*rand.Rand, n),
+		sched:   sim.NewSchedule(cfg.Sim, engine, engine, col),
 		down:    make([]bool, n),
 		client: &http.Client{
 			Timeout: driverHTTPTimeout,
@@ -120,9 +118,7 @@ func NewDriver(cfg Config, urls []string) (*Driver, error) {
 			},
 		},
 	}
-	for i := 0; i < n; i++ {
-		d.rngs[i] = workload.Stream(cfg.Sim.Seed, uint64(i))
-	}
+	d.acct = sim.NewAccounting(cfg.Sim, routes, network, col, d.redirectorAt)
 	return d, nil
 }
 
@@ -154,33 +150,19 @@ func (d *Driver) Decisions() []Event {
 }
 
 // Run replays the full schedule for cfg.Sim.Duration of virtual time and
-// assembles the same results schema the simulator produces. Run must be
-// called at most once.
+// assembles the same results schema the simulator produces. A node event
+// the driver cannot account for (unknown move kind or method, a node or
+// object outside the run) ends the run with a *WireError. A second call
+// returns sim.ErrScheduleStarted.
 func (d *Driver) Run(ctx context.Context) (*sim.Results, error) {
-	if d.ran {
-		return nil, fmt.Errorf("live: driver already ran")
-	}
-	d.ran = true
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Schedule in the simulator's order: generators, measurement,
-	// placement, census, workload switch. Sequence numbers are assigned at
-	// Schedule time, so matching this order is what aligns same-instant
-	// tie-breaking with the simulation.
-	d.scheduleGenerators()
-	d.scheduleMeasurement()
-	if d.cfg.Sim.DynamicPlacement {
-		d.schedulePlacement()
-	}
-	d.scheduleCensus()
-	if sw := d.cfg.Sim.WorkloadSwitch; sw.To != nil {
-		if err := d.engine.Schedule(sw.At, func(time.Duration) { d.gen = sw.To }); err != nil {
-			return nil, fmt.Errorf("live: scheduling workload switch: %w", err)
-		}
+	if err := d.sched.Start(d, nil); err != nil {
+		return nil, err
 	}
 	for _, h := range d.hooks {
 		h := h
@@ -188,65 +170,28 @@ func (d *Driver) Run(ctx context.Context) (*sim.Results, error) {
 			return nil, fmt.Errorf("live: scheduling hook at %v: %w", h.at, err)
 		}
 	}
-	if done := ctx.Done(); done != nil {
-		d.engine.SetInterrupt(0, func() bool {
-			select {
-			case <-done:
-				return true
-			default:
-				return false
-			}
-		})
-		defer d.engine.SetInterrupt(0, nil)
-	}
-	d.engine.Run(d.cfg.Sim.Duration)
-	if err := ctx.Err(); err != nil {
+	if err := d.sched.Run(ctx, nil); err != nil {
 		return nil, err
 	}
-	return d.results(), nil
-}
-
-// scheduleGenerators starts one phase-offset request stream per gateway,
-// drawing objects and inter-arrival gaps from the same seeded PRNG streams
-// the simulator uses.
-func (d *Driver) scheduleGenerators() {
-	for i := 0; i < d.n; i++ {
-		g := topology.NodeID(i)
-		rate := d.cfg.Sim.NodeRequestRPS
-		if d.cfg.Sim.NodeRates != nil {
-			rate = d.cfg.Sim.NodeRates[i]
-		}
-		if rate == 0 {
-			continue
-		}
-		spacing := time.Duration(float64(time.Second) / rate)
-		phase := spacing * time.Duration(i) / time.Duration(d.n)
-		var emit simevent.Event
-		emit = func(now time.Duration) {
-			d.dispatch(now, g, d.gen.Next(g, d.rngs[g]))
-			next := spacing
-			if d.cfg.Sim.PoissonArrivals {
-				next = time.Duration(d.rngs[g].ExpFloat64() * float64(spacing))
-				if next <= 0 {
-					next = time.Nanosecond
-				}
-			}
-			if now+next <= d.cfg.Sim.Duration {
-				_ = d.engine.Schedule(now+next, emit)
-			}
-		}
-		_ = d.engine.Schedule(phase, emit)
+	if d.err != nil {
+		return nil, d.err
 	}
+	return d.results()
 }
 
-// dispatch runs one request's redirector hop: GET the object from its
-// redirector at virtual time t1 (gateway -> redirector control latency)
-// and schedule the 302's arrival at the chosen host. The redirector
-// mutates its distribution state (request counts, choice rotation) during
-// this call — at dispatch time, exactly when the simulator calls
-// ChooseReplica.
-func (d *Driver) dispatch(t0 time.Duration, g topology.NodeID, id object.ID) {
-	loc := d.redLocs[int(id)%len(d.redLocs)]
+// redirectorAt locates the redirector responsible for object id.
+func (d *Driver) redirectorAt(id object.ID) topology.NodeID {
+	return d.redLocs[int(id)%len(d.redLocs)]
+}
+
+// Dispatch implements sim.Cluster: one request's redirector hop. It GETs
+// the object from its redirector at virtual time t1 (gateway -> redirector
+// control latency) and schedules the 302's arrival at the chosen host. The
+// redirector mutates its distribution state (request counts, choice
+// rotation) during this call — at dispatch time, exactly when the
+// simulator calls ChooseReplica.
+func (d *Driver) Dispatch(t0, _ time.Duration, g topology.NodeID, id object.ID) {
+	loc := d.redirectorAt(id)
 	t1 := d.net.ControlLatency(t0, d.routes.Distance(g, loc))
 	if d.down[loc] {
 		d.col.RecordFailedRequest(t1) // redirector crashed: request lost
@@ -352,184 +297,136 @@ func (c *completion) Fire(now time.Duration) {
 	d.col.RecordLatency(deliver, deliver-c.t0)
 }
 
-// scheduleMeasurement drives the periodic load-measurement tick: close
-// every live node's interval over the wire and sample the same max-load
-// and tracked-host series the simulator samples.
-func (d *Driver) scheduleMeasurement() {
-	interval := d.cfg.Sim.Server.MeasurementInterval
-	tracked := d.cfg.Sim.TrackedHost
-	var tick simevent.Event
-	tick = func(now time.Duration) {
-		msg := TickMsg{Now: int64(now)}
-		maxLoad := 0.0
-		var trackedRep MeasureReply
-		trackedOK := false
-		for i := 0; i < d.n; i++ {
-			if d.down[i] {
-				continue
-			}
-			var rep MeasureReply
-			if err := d.post(d.urls[i], PathMeasure, &msg, &rep); err != nil {
-				d.markDown(topology.NodeID(i))
-				continue
-			}
-			if rep.Load > maxLoad {
-				maxLoad = rep.Load
-			}
-			if topology.NodeID(i) == tracked {
-				trackedRep, trackedOK = rep, true
-			}
-		}
-		d.col.RecordMaxLoad(now, maxLoad)
-		if trackedOK {
-			d.col.RecordHostLoad(now, trackedRep.Load, trackedRep.Lower, trackedRep.Upper)
-		} else {
-			d.col.RecordHostLoad(now, 0, 0, 0)
-		}
-		if now+interval <= d.cfg.Sim.Duration {
-			_ = d.engine.Schedule(now+interval, tick)
-		}
-	}
-	_ = d.engine.Schedule(interval, tick)
-}
-
-// schedulePlacement drives each host's periodic placement pass, staggered
-// like the simulator's, applying every drained event to the driver's
-// metrics and network accounting.
-func (d *Driver) schedulePlacement() {
-	interval := d.cfg.Sim.PlacementInterval
+// Measure implements sim.Cluster: it closes every live node's
+// measurement interval over the wire. A tracked host that is down reports
+// zero load.
+func (d *Driver) Measure(now time.Duration) (float64, metrics.HostLoadSample) {
+	msg := TickMsg{Now: int64(now)}
+	maxLoad := 0.0
+	var tracked metrics.HostLoadSample
 	for i := 0; i < d.n; i++ {
-		i := i
-		offset := time.Duration(0)
-		if !d.cfg.Sim.PlacementSynchronized {
-			offset = interval * time.Duration(i) / time.Duration(d.n)
+		if d.down[i] {
+			continue
 		}
-		var tick simevent.Event
-		tick = func(now time.Duration) {
-			if !d.down[i] {
-				var rep PlaceReply
-				msg := TickMsg{Now: int64(now)}
-				if err := d.post(d.urls[i], PathPlace, &msg, &rep); err != nil {
-					d.markDown(topology.NodeID(i))
-				} else {
-					d.applyEvents(rep.Events)
-				}
-			}
-			if now+interval <= d.cfg.Sim.Duration {
-				_ = d.engine.Schedule(now+interval, tick)
-			}
+		var rep MeasureReply
+		if err := d.post(d.urls[i], PathMeasure, &msg, &rep); err != nil {
+			d.markDown(topology.NodeID(i))
+			continue
 		}
-		_ = d.engine.Schedule(interval+offset, tick)
-	}
-}
-
-// scheduleCensus samples the fleet-wide replica census once per placement
-// interval by summing each redirector node's count of its own objects.
-func (d *Driver) scheduleCensus() {
-	interval := d.cfg.Sim.PlacementInterval
-	floor := d.cfg.Sim.Protocol.ReplicaFloor
-	var tick simevent.Event
-	tick = func(now time.Duration) {
-		total, below := 0, 0
-		for _, loc := range d.redLocs {
-			if d.down[loc] {
-				continue
-			}
-			var rep CensusReply
-			if err := d.get(d.urls[loc], PathCensus, &rep); err != nil {
-				d.markDown(loc)
-				continue
-			}
-			total += rep.TotalReplicas
-			below += rep.BelowFloor
-		}
-		d.col.RecordReplicaCensus(now, float64(total)/float64(d.cfg.Sim.Universe.Count))
-		if floor > 1 {
-			d.col.RecordBelowFloor(now, below, float64(below)*interval.Seconds())
-		}
-		if now+interval <= d.cfg.Sim.Duration {
-			_ = d.engine.Schedule(now+interval, tick)
+		maxLoad = max(maxLoad, rep.Load)
+		if topology.NodeID(i) == d.cfg.Sim.TrackedHost {
+			tracked = metrics.HostLoadSample{Actual: rep.Load, Lower: rep.Lower, Upper: rep.Upper}
 		}
 	}
-	_ = d.engine.Schedule(interval, tick)
+	return maxLoad, tracked
 }
 
-// applyEvents replays a drained node event log into the driver's
-// accounting, mirroring the simulator's chargingObserver: placement
-// decisions feed the metrics counters and charge their control messages,
-// copies charge the object transfer as protocol overhead. Charges are
-// bucketed sums, so replaying them when the log drains — rather than at
-// the instant they happened — changes nothing.
+// Place implements sim.Cluster: node h's placement pass over the wire,
+// with its drained event log applied to the driver's accounting.
+func (d *Driver) Place(now time.Duration, h topology.NodeID) {
+	if d.down[h] {
+		return
+	}
+	var rep PlaceReply
+	msg := TickMsg{Now: int64(now)}
+	if err := d.post(d.urls[h], PathPlace, &msg, &rep); err != nil {
+		d.nodeFailed(h, err)
+		return
+	}
+	d.applyEvents(rep.Events)
+}
+
+// Census implements sim.Cluster by summing each live redirector node's
+// census of its own objects; the nodes count below their configured floor.
+func (d *Driver) Census(time.Duration, int) (total, below int) {
+	for _, loc := range d.redLocs {
+		if d.down[loc] {
+			continue
+		}
+		var rep CensusReply
+		if err := d.get(d.urls[loc], PathCensus, &rep); err != nil {
+			d.markDown(loc)
+			continue
+		}
+		total += rep.TotalReplicas
+		below += rep.BelowFloor
+	}
+	return total, below
+}
+
+// nodeFailed handles a failed call to node i that carries its event log:
+// a malformed reply fails the run, anything else marks the node down.
+func (d *Driver) nodeFailed(i topology.NodeID, err error) {
+	var we *WireError
+	if errors.As(err, &we) {
+		d.fail(err)
+		return
+	}
+	d.markDown(i)
+}
+
+// fail records the run's first malformed node event and stops the engine.
+func (d *Driver) fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+	d.engine.Stop()
+}
+
+// applyEvents decodes a drained node event log into calls on the shared
+// sim.Accounting — the simulator's protocol.Observer — and records the
+// placement decisions. Charges are bucketed sums, so replaying them when
+// the log drains rather than at the instant they happened changes nothing.
+// Application stops at the first event naming a node or object outside the
+// run.
 func (d *Driver) applyEvents(evs []Event) {
-	size := int64(d.cfg.Sim.Universe.SizeBytes)
 	for _, e := range evs {
+		if err := d.checkEvent(&e); err != nil {
+			d.fail(err)
+			return
+		}
 		at := time.Duration(e.At)
 		id := object.ID(e.Object)
 		from := topology.NodeID(e.From)
 		to := topology.NodeID(e.To)
+		// checkEvent accepted the Move and Method the kind carries.
+		kind, _ := ParseMoveKind(e.Move)
+		method, _ := ParseMethod(e.Method)
 		switch e.Kind {
 		case EventMigrate:
-			kind, err := ParseMoveKind(e.Move)
-			if err != nil {
-				continue
-			}
-			d.chargeHandshake(at, from, to)
-			d.chargeNotify(at, to, id)
-			d.col.OnMigrate(at, id, from, to, kind)
-			d.decisions = append(d.decisions, e)
+			d.acct.OnMigrate(at, id, from, to, kind)
 		case EventReplicate:
-			kind, err := ParseMoveKind(e.Move)
-			if err != nil {
-				continue
-			}
-			d.chargeHandshake(at, from, to)
-			d.chargeNotify(at, to, id)
-			if kind == protocol.RepairMove {
-				d.repairByteHops += size * int64(d.routes.Distance(from, to))
-			}
-			d.col.OnReplicate(at, id, from, to, kind)
-			d.decisions = append(d.decisions, e)
+			d.acct.OnReplicate(at, id, from, to, kind)
 		case EventDrop:
-			d.chargeNotify(at, from, id)
-			d.col.OnDrop(at, id, from)
-			d.decisions = append(d.decisions, e)
+			d.acct.OnDrop(at, id, from)
 		case EventRefuse:
-			method, err := ParseMethod(e.Method)
-			if err != nil {
-				continue
-			}
-			d.chargeHandshake(at, from, to)
-			d.col.OnRefuse(at, id, from, to, method)
-			d.decisions = append(d.decisions, e)
+			d.acct.OnRefuse(at, id, from, to, method)
 		case EventDefer:
-			method, err := ParseMethod(e.Method)
-			if err != nil {
-				continue
-			}
-			d.col.OnDefer(at, id, from, to, method)
-			d.decisions = append(d.decisions, e)
+			d.acct.OnDefer(at, id, from, to, method)
 		case EventCopy:
-			d.net.Transfer(at, d.routes.Path(from, to), size, simnet.Overhead)
+			d.acct.Copy(at, from, to, id)
+			continue
 		}
+		d.decisions = append(d.decisions, e)
 	}
 }
 
-// chargeHandshake prices a request/response control message pair.
-func (d *Driver) chargeHandshake(now time.Duration, from, to topology.NodeID) {
-	if d.cfg.Sim.ControlMsgBytes == 0 {
-		return
+// checkEvent validates e and adds what Event.Validate cannot know: nodes
+// beyond the fleet and objects beyond the universe are rejected.
+func (d *Driver) checkEvent(e *Event) error {
+	if err := e.Validate(); err != nil {
+		return err
 	}
-	d.net.ControlMessage(now, d.routes.Path(from, to), d.cfg.Sim.ControlMsgBytes)
-	d.net.ControlMessage(now, d.routes.Path(to, from), d.cfg.Sim.ControlMsgBytes)
-}
-
-// chargeNotify prices a one-way notification to the object's redirector.
-func (d *Driver) chargeNotify(now time.Duration, from topology.NodeID, id object.ID) {
-	if d.cfg.Sim.ControlMsgBytes == 0 {
-		return
+	if e.From >= d.n {
+		return &WireError{Field: "from", Reason: fmt.Sprintf("node %d outside the %d-node fleet", e.From, d.n)}
 	}
-	loc := d.redLocs[int(id)%len(d.redLocs)]
-	d.net.ControlMessage(now, d.routes.Path(from, loc), d.cfg.Sim.ControlMsgBytes)
+	if e.To >= d.n {
+		return &WireError{Field: "to", Reason: fmt.Sprintf("node %d outside the %d-node fleet", e.To, d.n)}
+	}
+	if e.Object >= int64(d.cfg.Sim.Universe.Count) {
+		return &WireError{Field: "object", Reason: fmt.Sprintf("object %d outside the %d-object universe", e.Object, d.cfg.Sim.Universe.Count)}
+	}
+	return nil
 }
 
 // markDown records a crashed node and broadcasts the mark to the live
@@ -589,40 +486,11 @@ func readReply(res *http.Response, base, path string, resp any) error {
 	return jsonUnmarshal(data, resp)
 }
 
-// trimSeries caps a series at the number of full buckets the run covers,
-// exactly as the simulator trims its own.
-func (d *Driver) trimSeries(points []metrics.Point) []metrics.Point {
-	full := int(d.cfg.Sim.Duration / d.cfg.Sim.MetricsBucket)
-	if full < 1 {
-		full = 1
-	}
-	if len(points) > full {
-		return points[:full]
-	}
-	return points
-}
-
-// finalCensus returns the mean replica count per object at the horizon.
-func (d *Driver) finalCensus() float64 {
-	total := 0
-	for _, loc := range d.redLocs {
-		if d.down[loc] {
-			continue
-		}
-		var rep CensusReply
-		if err := d.get(d.urls[loc], PathCensus, &rep); err != nil {
-			continue
-		}
-		total += rep.TotalReplicas
-	}
-	return float64(total) / float64(d.cfg.Sim.Universe.Count)
-}
-
 // results assembles the run's outputs in the simulator's schema. Live-only
 // gaps are documented divergences: the invariants check needs in-process
 // state (nil here), and the storage-layer aggregation has no live
 // counterpart.
-func (d *Driver) results() *sim.Results {
+func (d *Driver) results() (*sim.Results, error) {
 	// Final drain: events recorded since each node's last placement pass
 	// (typically CreateObj copies on accepting nodes).
 	for i := 0; i < d.n; i++ {
@@ -631,47 +499,22 @@ func (d *Driver) results() *sim.Results {
 		}
 		var rep EventsReply
 		if err := d.get(d.urls[i], PathEvents, &rep); err != nil {
-			d.markDown(topology.NodeID(i))
+			d.nodeFailed(topology.NodeID(i), err)
 			continue
 		}
 		d.applyEvents(rep.Events)
 	}
-	cfg := d.cfg.Sim
-	r := &sim.Results{
-		WorkloadName:      cfg.Workload.Name(),
-		Policy:            cfg.Policy,
-		Dynamic:           cfg.DynamicPlacement,
-		Duration:          cfg.Duration,
-		Seed:              cfg.Seed,
-		Bandwidth:         d.trimSeries(d.col.BandwidthSeries()),
-		Latency:           d.trimSeries(d.col.LatencySeries()),
-		LatencyP99:        d.trimSeries(d.col.LatencyQuantileSeries(0.99)),
-		OverheadPct:       d.trimSeries(d.col.OverheadPercentSeries()),
-		MaxLoad:           d.col.MaxLoadSeries(),
-		HostLoad:          d.col.HostLoadSeries(),
-		Replicas:          d.col.ReplicaSeries(),
-		Counters:          d.col.Counters(),
-		OverheadPercent:   d.col.OverheadPercent(),
-		AvgReplicas:       d.finalCensus(),
-		DroppedChoices:    d.droppedChoices,
-		TimedOutRequests:  d.timedOut,
-		Failures:          d.failures,
-		FaultsEnabled:     d.faultsSeen,
-		FailedRequests:    d.col.Counters().FailedRequests,
-		FailedSeries:      d.trimSeries(d.col.FailedRequestSeries()),
-		Outages:           d.col.Outages(),
-		UnavailObjSecs:    d.col.UnavailableObjectSeconds(),
-		BelowFloor:        d.col.BelowFloorSeries(),
-		BelowFloorObjSecs: d.col.BelowFloorObjectSeconds(),
-		RepairByteHops:    d.repairByteHops,
-		HostStats:         make([]protocol.HostStats, d.n),
-		TrackedHost:       cfg.TrackedHost,
-		HighWatermark:     cfg.Protocol.HighWatermark,
-		SandwichSlackRPS:  1e-9,
-		StoreSpec:         cfg.Store.String(),
+	if d.err != nil {
+		return nil, d.err
 	}
-	maxQ := 0
-	var totalServed int64
+	total, _ := d.Census(d.cfg.Sim.Duration, 0)
+	r := sim.NewResults(d.cfg.Sim, d.col, float64(total)/float64(d.cfg.Sim.Universe.Count))
+	r.DroppedChoices = d.droppedChoices
+	r.TimedOutRequests = d.timedOut
+	r.Failures = d.failures
+	r.FaultsEnabled = d.faultsSeen
+	r.RepairByteHops = d.acct.RepairByteHops
+	r.HostStats = make([]protocol.HostStats, d.n)
 	for i := 0; i < d.n; i++ {
 		if d.down[i] {
 			continue
@@ -681,24 +524,8 @@ func (d *Driver) results() *sim.Results {
 			continue
 		}
 		r.HostStats[i] = rep.Host
-		if rep.MaxQueueLen > maxQ {
-			maxQ = rep.MaxQueueLen
-		}
-		totalServed += rep.TotalServed
+		r.MaxQueueLen = max(r.MaxQueueLen, rep.MaxQueueLen)
+		r.TotalServed += rep.TotalServed
 	}
-	r.MaxQueueLen = maxQ
-	r.TotalServed = totalServed
-	r.BandwidthStats = metrics.Summarize(r.Bandwidth, 2)
-	r.LatencyStats = metrics.Summarize(r.Latency, 2)
-	r.AdjustmentTime, r.Adjusted = metrics.AdjustmentTime(r.Bandwidth, 1.10)
-	r.MaxLoadPeak = metrics.MaxValue(r.MaxLoad)
-	if len(r.MaxLoad) > 0 {
-		tail := r.MaxLoad[len(r.MaxLoad)*3/4:]
-		r.MaxLoadSettled = metrics.MaxValue(tail)
-	}
-	r.SandwichViolations = metrics.SandwichViolations(r.HostLoad, r.SandwichSlackRPS)
-	if math.IsNaN(r.BandwidthStats.ReductionPercent) {
-		r.BandwidthStats.ReductionPercent = 0
-	}
-	return r
+	return r, nil
 }

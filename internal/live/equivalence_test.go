@@ -2,6 +2,7 @@ package live_test
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"radar/internal/protocol"
 	"radar/internal/sim"
 	"radar/internal/topology"
+	"radar/internal/workload"
 )
 
 // decisionRecorder mirrors the live nodes' event log on the simulator
@@ -41,15 +43,69 @@ func (r *decisionRecorder) OnDefer(now time.Duration, id object.ID, from, to top
 }
 
 // TestSimLiveEquivalence is the headline test pinning live mode to the
-// simulator: one configuration drives both the deterministic simulation
+// simulator: each configuration drives both the deterministic simulation
 // and a 3-node loopback fleet of real HTTP servers, and the sequence of
 // placement decisions — every migration, replication, drop, and refusal,
-// in order, with virtual timestamps — must be identical, along with the
-// request-path aggregates. The simulator is the executable spec; any
-// divergence on the live side is a bug in the transport lift.
+// in order, with virtual timestamps — must be identical, and so must the
+// whole Results but for the fields with no live counterpart. The cases
+// cover every branch of the shared run schedule. The simulator is the
+// executable spec; any divergence on the live side is a bug in the
+// transport lift.
 func TestSimLiveEquivalence(t *testing.T) {
-	cfg := liveConfig(t, topology.Line(3), 24, 20, 3*time.Minute)
+	base := func(t *testing.T) live.Config {
+		return liveConfig(t, topology.Line(3), 24, 20, 3*time.Minute)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  func(*testing.T) live.Config
+	}{
+		{"base", base},
+		{"poisson", func(t *testing.T) live.Config {
+			cfg := base(t)
+			cfg.Sim.PoissonArrivals = true
+			return cfg
+		}},
+		{"synchronized", func(t *testing.T) live.Config {
+			cfg := base(t)
+			cfg.Sim.PlacementSynchronized = true
+			return cfg
+		}},
+		{"floor2", func(t *testing.T) live.Config {
+			cfg := base(t)
+			cfg.Sim.Protocol.ReplicaFloor = 2
+			return cfg
+		}},
+		{"switch", func(t *testing.T) live.Config {
+			cfg := base(t)
+			to, err := workload.NewHotPages(cfg.Sim.Universe, 0.1, 0.9, 11)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Sim.WorkloadSwitch.At = 90 * time.Second
+			cfg.Sim.WorkloadSwitch.To = to
+			return cfg
+		}},
+		{"noderates", func(t *testing.T) live.Config {
+			cfg := base(t)
+			cfg.Sim.NodeRates = []float64{30, 0, 10}
+			return cfg
+		}},
+		{"redirectors2", func(t *testing.T) live.Config {
+			cfg := base(t)
+			cfg.Sim.NumRedirectors = 2
+			return cfg
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if testing.Short() && tc.name != "base" {
+				t.Skip("one case under -short")
+			}
+			checkSimLiveEquivalent(t, tc.cfg(t))
+		})
+	}
+}
 
+func checkSimLiveEquivalent(t *testing.T, cfg live.Config) {
 	simCfg := cfg.Sim
 	rec := &decisionRecorder{}
 	simCfg.ExtraObserver = rec
@@ -81,37 +137,20 @@ func TestSimLiveEquivalence(t *testing.T) {
 		}
 	}
 
-	// The request path must agree exactly too: same served/timed-out/
-	// dropped totals, same placement counters, same final census.
-	if liveRes.TotalServed != simRes.TotalServed {
-		t.Errorf("TotalServed: live %d, sim %d", liveRes.TotalServed, simRes.TotalServed)
+	// Everything else must agree too, field for field: series, counters,
+	// aggregates, host statistics. The invariants check needs in-process
+	// state and storage layers have no live counterpart.
+	if simRes.InvariantsError != nil {
+		t.Fatalf("simulation invariants: %v", simRes.InvariantsError)
 	}
-	if liveRes.TimedOutRequests != simRes.TimedOutRequests {
-		t.Errorf("TimedOutRequests: live %d, sim %d", liveRes.TimedOutRequests, simRes.TimedOutRequests)
-	}
-	if liveRes.DroppedChoices != simRes.DroppedChoices {
-		t.Errorf("DroppedChoices: live %d, sim %d", liveRes.DroppedChoices, simRes.DroppedChoices)
-	}
-	if liveRes.Counters != simRes.Counters {
-		t.Errorf("Counters: live %+v, sim %+v", liveRes.Counters, simRes.Counters)
-	}
-	if liveRes.AvgReplicas != simRes.AvgReplicas {
-		t.Errorf("AvgReplicas: live %v, sim %v", liveRes.AvgReplicas, simRes.AvgReplicas)
-	}
-	if len(liveRes.Replicas) != len(simRes.Replicas) {
-		t.Fatalf("census series length: live %d, sim %d", len(liveRes.Replicas), len(simRes.Replicas))
-	}
-	for i := range simRes.Replicas {
-		if liveRes.Replicas[i] != simRes.Replicas[i] {
-			t.Errorf("census sample %d: live %+v, sim %+v", i, liveRes.Replicas[i], simRes.Replicas[i])
-		}
-	}
-	if len(liveRes.MaxLoad) != len(simRes.MaxLoad) {
-		t.Fatalf("max-load series length: live %d, sim %d", len(liveRes.MaxLoad), len(simRes.MaxLoad))
-	}
-	for i := range simRes.MaxLoad {
-		if liveRes.MaxLoad[i] != simRes.MaxLoad[i] {
-			t.Errorf("max-load sample %d: live %+v, sim %+v", i, liveRes.MaxLoad[i], simRes.MaxLoad[i])
+	simRes.InvariantsError, simRes.StoreLayers = nil, nil
+	liveRes.InvariantsError, liveRes.StoreLayers = nil, nil
+	if !reflect.DeepEqual(liveRes, simRes) {
+		lv, sv := reflect.ValueOf(liveRes).Elem(), reflect.ValueOf(simRes).Elem()
+		for i := 0; i < sv.NumField(); i++ {
+			if !reflect.DeepEqual(lv.Field(i).Interface(), sv.Field(i).Interface()) {
+				t.Errorf("Results.%s:\n  live: %+v\n  sim:  %+v", sv.Type().Field(i).Name, lv.Field(i).Interface(), sv.Field(i).Interface())
+			}
 		}
 	}
 	if liveRes.FailedRequests != 0 || liveRes.Failures != 0 {

@@ -521,7 +521,18 @@ func (e *Event) Validate() error {
 	if err := checkNode("from", e.From); err != nil {
 		return err
 	}
-	return checkNode("to", e.To)
+	if err := checkNode("to", e.To); err != nil {
+		return err
+	}
+	switch e.Kind {
+	case EventMigrate, EventReplicate:
+		_, err := ParseMoveKind(e.Move)
+		return err
+	case EventRefuse, EventDefer:
+		_, err := ParseMethod(e.Method)
+		return err
+	}
+	return nil
 }
 
 // EventsReply is a drained node event log (GET /ctl/events).

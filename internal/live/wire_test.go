@@ -64,12 +64,29 @@ func TestDecodeEventValidation(t *testing.T) {
 	if got != ev {
 		t.Fatalf("round trip: got %+v, want %+v", got, ev)
 	}
-	bad := Event{At: 10, Kind: "teleport"}
-	var dst Event
-	err := Decode(Encode(&bad), &dst)
-	var we *WireError
-	if !errors.As(err, &we) || we.Field != "kind" {
-		t.Fatalf("unknown kind: err = %v, want WireError on field kind", err)
+	for _, tc := range []struct {
+		ev    Event
+		field string
+	}{
+		{Event{At: 10, Kind: "teleport"}, "kind"},
+		{Event{At: 10, Kind: EventMigrate, Move: "bogus"}, "move"},
+		{Event{At: 10, Kind: EventReplicate}, "move"},
+		{Event{At: 10, Kind: EventRefuse, Method: "STEAL"}, "method"},
+		{Event{At: 10, Kind: EventDefer}, "method"},
+	} {
+		var dst Event
+		err := Decode(Encode(&tc.ev), &dst)
+		var we *WireError
+		if !errors.As(err, &we) || we.Field != tc.field {
+			t.Errorf("%+v: err = %v, want WireError on field %s", tc.ev, err, tc.field)
+		}
+	}
+	// Drops and copies carry neither a move kind nor a method.
+	for _, ev := range []Event{{Kind: EventDrop, Object: 1}, {Kind: EventCopy, Object: 1, To: 2}} {
+		var dst Event
+		if err := Decode(Encode(&ev), &dst); err != nil {
+			t.Errorf("%+v: %v", ev, err)
+		}
 	}
 }
 

@@ -3,8 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math"
-	"math/rand"
 	"sort"
 	"time"
 
@@ -18,7 +16,6 @@ import (
 	"radar/internal/store"
 	"radar/internal/substrate"
 	"radar/internal/topology"
-	"radar/internal/workload"
 )
 
 // Simulation is one configured run. Build with New, execute with Run.
@@ -33,11 +30,12 @@ type Simulation struct {
 	servers []*server.Server
 	hosts   []*protocol.Host
 	stores  []store.ReplicaStore // one backend stack per host
-	gen     workload.Generator
 
 	redirectors []*protocol.Redirector
-	rngs        []*rand.Rand // one request stream per gateway
-	svcQueue    []reqFIFO    // deferred FCFS completions, one FIFO per server
+	svcQueue    []reqFIFO // deferred FCFS completions, one FIFO per server
+
+	sched *Schedule
+	acct  *Accounting
 
 	// Sharded-engine state (see shards.go). laneOf maps every node to its
 	// execution lane; serial runs point every node at the single main lane,
@@ -74,7 +72,6 @@ type Simulation struct {
 	haveLinkFaults bool
 	linkFailures   int64
 	linkRecoveries int64
-	repairByteHops int64
 	// outageStart[id] is when object id lost its last recorded replica;
 	// windows close on recovery (or at the horizon, in results).
 	outageStart map[object.ID]time.Duration
@@ -102,7 +99,6 @@ func New(cfg Config) (*Simulation, error) {
 		cfg:    cfg,
 		topo:   cfg.Topo,
 		engine: simevent.New(),
-		gen:    cfg.Workload,
 	}
 	s.routes = sub.Routes
 	col, err := metrics.New(cfg.MetricsBucket)
@@ -126,6 +122,14 @@ func New(cfg Config) (*Simulation, error) {
 	if err := s.armCtrlPlane(); err != nil {
 		return nil, err
 	}
+	s.acct = NewAccounting(cfg, s.routes, s.net, col, func(id object.ID) topology.NodeID {
+		return s.redirectorFor(id).Location
+	})
+	if s.ctrl != nil {
+		// The unreliable plane charges every message leg itself (retries
+		// and duplicates included) at its true send time.
+		s.acct.msgBytes = 0
+	}
 	s.stores, err = cfg.Store.BuildAll(s.topo.NumNodes(), store.Params{
 		Seed:     cfg.Seed,
 		Horizon:  cfg.Duration,
@@ -141,19 +145,16 @@ func New(cfg Config) (*Simulation, error) {
 	n := s.topo.NumNodes()
 	s.down = make([]bool, n)
 	s.svcQueue = make([]reqFIFO, n)
-	s.rngs = make([]*rand.Rand, n)
-	for i := 0; i < n; i++ {
-		s.rngs[i] = workload.Stream(cfg.Seed, uint64(i))
-	}
 	if err := s.initLanes(); err != nil {
 		return nil, err
 	}
+	s.sched = NewSchedule(cfg, s.engine, s.dispEng, s.col)
 	return s, nil
 }
 
-// buildRedirectors places cfg.NumRedirectors redirectors on the nodes with
-// the smallest average hop distance (paper §6.1) and hash-partitions the
-// object namespace among them.
+// buildRedirectors places cfg.NumRedirectors redirectors (see
+// RedirectorLocations) and hash-partitions the object namespace among
+// them.
 func (s *Simulation) buildRedirectors() error {
 	n := s.topo.NumNodes()
 	if s.cfg.RedirectorAtHome {
@@ -168,32 +169,10 @@ func (s *Simulation) buildRedirectors() error {
 		}
 		return nil
 	}
-	k := s.cfg.NumRedirectors
-	if k > n {
-		k = n
-	}
-	type cand struct {
-		id  topology.NodeID
-		avg float64
-	}
-	cands := make([]cand, n)
-	for i := 0; i < n; i++ {
-		cands[i] = cand{topology.NodeID(i), s.routes.AvgDistance(topology.NodeID(i))}
-	}
-	// Selection by (avg, id): stable and deterministic.
-	for i := 0; i < k; i++ {
-		best := i
-		for j := i + 1; j < n; j++ {
-			if cands[j].avg < cands[best].avg ||
-				(cands[j].avg == cands[best].avg && cands[j].id < cands[best].id) {
-				best = j
-			}
-		}
-		cands[i], cands[best] = cands[best], cands[i]
-	}
-	s.redirectors = make([]*protocol.Redirector, k)
-	for i := 0; i < k; i++ {
-		r, err := protocol.NewRedirector(cands[i].id, s.routes, s.cfg.Policy, s.cfg.Protocol.DistConstant)
+	locs := RedirectorLocations(s.routes, s.cfg.NumRedirectors)
+	s.redirectors = make([]*protocol.Redirector, len(locs))
+	for i, loc := range locs {
+		r, err := protocol.NewRedirector(loc, s.routes, s.cfg.Policy, s.cfg.Protocol.DistConstant)
 		if err != nil {
 			return err
 		}
@@ -247,7 +226,7 @@ func (s *Simulation) buildHosts() error {
 				return s.hosts[p]
 			},
 			FindRecipient:    s.findRecipient,
-			CopyObject:       s.copyObject,
+			CopyObject:       s.acct.Copy,
 			CanReplicate:     canReplicate,
 			FindRepairTarget: s.findRepairTarget,
 			Store:            s.stores[i],
@@ -351,104 +330,60 @@ func (s *Simulation) findRepairTarget(now time.Duration, id object.ID, from topo
 	return best, found
 }
 
-// copyObject charges an inter-host object transfer as protocol overhead.
-func (s *Simulation) copyObject(now time.Duration, from, to topology.NodeID, _ object.ID) {
-	s.net.Transfer(now, s.routes.Path(from, to), int64(s.cfg.Universe.SizeBytes), simnet.Overhead)
-}
-
-// chargeHandshake charges a request/response control message pair.
-func (s *Simulation) chargeHandshake(now time.Duration, from, to topology.NodeID) {
-	if s.cfg.ControlMsgBytes == 0 {
-		return
-	}
-	s.net.ControlMessage(now, s.routes.Path(from, to), s.cfg.ControlMsgBytes)
-	s.net.ControlMessage(now, s.routes.Path(to, from), s.cfg.ControlMsgBytes)
-}
-
-// chargeNotify charges a one-way notification from a host to the object's
-// redirector.
-func (s *Simulation) chargeNotify(now time.Duration, from topology.NodeID, id object.ID) {
-	if s.cfg.ControlMsgBytes == 0 {
-		return
-	}
-	red := s.redirectorFor(id)
-	s.net.ControlMessage(now, s.routes.Path(from, red.Location), s.cfg.ControlMsgBytes)
-}
-
-// chargingObserver forwards protocol events to the metrics collector and
-// charges the associated control traffic; it also keeps the consistency
-// manager's primary tracking current. When the unreliable control plane is
-// armed the handshake/notify charges are skipped: the plane already
-// charged every message leg (including retries and duplicates) at its true
-// send time, so charging here would double-count.
+// chargingObserver is the simulation's protocol.Observer: the shared
+// Accounting, plus the consistency manager's primary tracking and the
+// configured ExtraObserver.
 type chargingObserver struct {
 	s *Simulation
 }
 
 func (o *chargingObserver) OnMigrate(now time.Duration, id object.ID, from, to topology.NodeID, kind protocol.MoveKind) {
-	if o.s.ctrl == nil {
-		o.s.chargeHandshake(now, from, to)
-		o.s.chargeNotify(now, to, id)
-	}
+	o.s.acct.OnMigrate(now, id, from, to, kind)
 	if o.s.cfg.Consistency != nil {
 		o.s.cfg.Consistency.OnMigrate(id, from, to)
 	}
-	o.s.col.OnMigrate(now, id, from, to, kind)
 	if o.s.cfg.ExtraObserver != nil {
 		o.s.cfg.ExtraObserver.OnMigrate(now, id, from, to, kind)
 	}
 }
 
 func (o *chargingObserver) OnReplicate(now time.Duration, id object.ID, from, to topology.NodeID, kind protocol.MoveKind) {
-	if o.s.ctrl == nil {
-		o.s.chargeHandshake(now, from, to)
-		o.s.chargeNotify(now, to, id)
-	}
-	if kind == protocol.RepairMove {
-		// Re-replication traffic: the repair copy's bytes over its path.
-		o.s.repairByteHops += int64(o.s.cfg.Universe.SizeBytes) * int64(o.s.routes.Distance(from, to))
-	}
-	o.s.col.OnReplicate(now, id, from, to, kind)
+	o.s.acct.OnReplicate(now, id, from, to, kind)
 	if o.s.cfg.ExtraObserver != nil {
 		o.s.cfg.ExtraObserver.OnReplicate(now, id, from, to, kind)
 	}
 }
 
 func (o *chargingObserver) OnDrop(now time.Duration, id object.ID, host topology.NodeID) {
-	if o.s.ctrl == nil {
-		o.s.chargeNotify(now, host, id)
-	}
+	o.s.acct.OnDrop(now, id, host)
 	if o.s.cfg.Consistency != nil {
 		reps := o.s.redirectorFor(id).Replicas(id)
 		if len(reps) > 0 {
 			o.s.cfg.Consistency.OnDrop(id, host, reps[0].Host)
 		}
 	}
-	o.s.col.OnDrop(now, id, host)
 	if o.s.cfg.ExtraObserver != nil {
 		o.s.cfg.ExtraObserver.OnDrop(now, id, host)
 	}
 }
 
 func (o *chargingObserver) OnRefuse(now time.Duration, id object.ID, from, to topology.NodeID, method protocol.Method) {
-	if o.s.ctrl == nil {
-		o.s.chargeHandshake(now, from, to)
-	}
-	o.s.col.OnRefuse(now, id, from, to, method)
+	o.s.acct.OnRefuse(now, id, from, to, method)
 	if o.s.cfg.ExtraObserver != nil {
 		o.s.cfg.ExtraObserver.OnRefuse(now, id, from, to, method)
 	}
 }
 
 func (o *chargingObserver) OnDefer(now time.Duration, id object.ID, from, to topology.NodeID, method protocol.Method) {
-	o.s.col.OnDefer(now, id, from, to, method)
+	o.s.acct.OnDefer(now, id, from, to, method)
 	if d, ok := o.s.cfg.ExtraObserver.(protocol.DeferralObserver); ok {
 		d.OnDefer(now, id, from, to, method)
 	}
 }
 
 // Run executes the simulation for cfg.Duration of virtual time and
-// returns its results. Run must be called at most once.
+// returns its results. A simulation runs once: a second call returns
+// ErrScheduleStarted.
 func (s *Simulation) Run() (*Results, error) {
 	return s.RunContext(context.Background())
 }
@@ -457,7 +392,7 @@ func (s *Simulation) Run() (*Results, error) {
 // thousand events (microseconds of wall time), so canceling a long run
 // returns promptly with ctx.Err() and no results. The poll does not
 // perturb the event stream — a run that is never canceled is bit-identical
-// to Run. RunContext must be called at most once.
+// to Run.
 func (s *Simulation) RunContext(ctx context.Context) (*Results, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -465,112 +400,39 @@ func (s *Simulation) RunContext(ctx context.Context) (*Results, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if err := s.scheduleGenerators(); err != nil {
-		return nil, err
-	}
-	if err := s.scheduleMeasurement(); err != nil {
-		return nil, err
-	}
-	if s.cfg.DynamicPlacement {
-		if err := s.schedulePlacement(); err != nil {
-			return nil, err
+	// The simulator-only events — §5 updates, faults, anti-entropy — go
+	// between the census and the workload switch.
+	err := s.sched.Start(cluster{s}, func() error {
+		if err := s.scheduleUpdates(); err != nil {
+			return err
 		}
-	}
-	if err := s.scheduleCensus(); err != nil {
-		return nil, err
-	}
-	if err := s.scheduleUpdates(); err != nil {
-		return nil, err
-	}
-	if err := s.scheduleFaults(); err != nil {
-		return nil, err
-	}
-	if err := s.scheduleReconcile(); err != nil {
-		return nil, err
-	}
-	if sw := s.cfg.WorkloadSwitch; sw.To != nil {
-		if err := s.engine.Schedule(sw.At, func(time.Duration) { s.gen = sw.To }); err != nil {
-			return nil, fmt.Errorf("sim: scheduling workload switch: %w", err)
+		if err := s.scheduleFaults(); err != nil {
+			return err
 		}
+		return s.scheduleReconcile()
+	})
+	if err != nil {
+		return nil, err
 	}
-	if done := ctx.Done(); done != nil {
-		poll := func() bool {
-			select {
-			case <-done:
-				return true
-			default:
-				return false
-			}
-		}
-		s.engine.SetInterrupt(0, poll)
-		defer s.engine.SetInterrupt(0, nil)
-		if s.dispEng != s.engine {
-			s.dispEng.SetInterrupt(0, poll)
-			defer s.dispEng.SetInterrupt(0, nil)
-		}
-	}
+	var run func(context.Context) error
 	if s.sharded {
-		if err := s.runSharded(ctx); err != nil {
-			return nil, err
-		}
-	} else {
-		s.engine.Run(s.cfg.Duration)
+		run = s.runSharded
 	}
-	if err := ctx.Err(); err != nil {
+	if err := s.sched.Run(ctx, run); err != nil {
 		return nil, err
 	}
 	return s.results(), nil
 }
 
-// scheduleGenerators starts one request stream per gateway. Every backbone
-// node is a gateway (paper §6.1). Streams are phase-offset so the fleet
-// does not fire in lockstep.
-func (s *Simulation) scheduleGenerators() error {
-	n := s.topo.NumNodes()
-	for i := 0; i < n; i++ {
-		g := topology.NodeID(i)
-		rate := s.cfg.NodeRequestRPS
-		if s.cfg.NodeRates != nil {
-			rate = s.cfg.NodeRates[i]
-		}
-		if rate == 0 {
-			continue
-		}
-		spacing := time.Duration(float64(time.Second) / rate)
-		phase := spacing * time.Duration(i) / time.Duration(n)
-		// schedAt tracks when this emit was (re)scheduled — the instant its
-		// serial sequence number was assigned. Sharded runs stamp it onto
-		// deliveries as the tie-breaking ParentAt (see shards.go).
-		schedAt := time.Duration(0)
-		var emit simevent.Event
-		emit = func(now time.Duration) {
-			s.dispatch(now, schedAt, g, s.gen.Next(g, s.rngs[g]))
-			next := spacing
-			if s.cfg.PoissonArrivals {
-				next = time.Duration(s.rngs[g].ExpFloat64() * float64(spacing))
-				if next <= 0 {
-					next = time.Nanosecond
-				}
-			}
-			if now+next <= s.cfg.Duration {
-				schedAt = now
-				// Rescheduling forward in time cannot fail.
-				_ = s.dispEng.Schedule(now+next, emit)
-			}
-		}
-		if err := s.dispEng.Schedule(phase, emit); err != nil {
-			return fmt.Errorf("sim: scheduling generator %d: %w", i, err)
-		}
-	}
-	return nil
-}
+// cluster is the simulation as the Cluster its run schedule drives.
+type cluster struct{ *Simulation }
 
-// dispatch runs one request through the paper's pipeline: gateway ->
+// Dispatch runs one request through the paper's pipeline: gateway ->
 // redirector (UDP, latency only) -> chosen host (UDP) -> FCFS service ->
 // response along the preference path back to the gateway. schedAt is the
 // instant the calling emit event was scheduled; serial runs ignore it,
 // sharded runs fold it into the delivery's ordering stamp.
-func (s *Simulation) dispatch(t0, schedAt time.Duration, g topology.NodeID, id object.ID) {
+func (s cluster) Dispatch(t0, schedAt time.Duration, g topology.NodeID, id object.ID) {
 	red := s.redirectorFor(id)
 	if s.haveLinkFaults && !s.net.PathUp(s.routes.Path(g, red.Location)) {
 		s.col.RecordFailedRequest(t0) // redirector unreachable: request lost
@@ -588,7 +450,7 @@ func (s *Simulation) dispatch(t0, schedAt time.Duration, g topology.NodeID, id o
 	}
 	t2 := s.net.ControlLatency(t1, s.routes.Distance(red.Location, h))
 	r := s.disp.newRequest()
-	*r = request{s: s, g: g, h: h, id: id, t0: t0, phase: reqArrive}
+	*r = request{s: s.Simulation, g: g, h: h, id: id, t0: t0, phase: reqArrive}
 	if !s.sharded {
 		// Scheduling forward in time cannot fail.
 		_ = s.engine.ScheduleHandler(t2, r)
@@ -609,98 +471,40 @@ func (s *Simulation) dispatch(t0, schedAt time.Duration, g topology.NodeID, id o
 	}, r)
 }
 
-// scheduleMeasurement drives the periodic load measurement (paper §2.1):
-// close every server's interval, retire estimates, and sample the
-// Figure 8a/8b series.
-func (s *Simulation) scheduleMeasurement() error {
-	interval := s.cfg.Server.MeasurementInterval
-	var tick simevent.Event
-	tick = func(now time.Duration) {
-		maxLoad := 0.0
-		for i := range s.servers {
-			start := s.servers[i].CloseInterval(now)
-			s.hosts[i].OnMeasurementIntervalClose(start)
-			if l := s.servers[i].Load(); l > maxLoad {
-				maxLoad = l
-			}
-		}
-		s.col.RecordMaxLoad(now, maxLoad)
-		tracked := s.cfg.TrackedHost
-		actual := s.servers[tracked].Load()
-		lower, upper := s.hosts[tracked].Estimator().Bounds(actual)
-		s.col.RecordHostLoad(now, actual, lower, upper)
-		if now+interval <= s.cfg.Duration {
-			_ = s.engine.Schedule(now+interval, tick)
+// Measure closes every server's measurement interval and retires the
+// hosts' estimates.
+func (s cluster) Measure(now time.Duration) (float64, metrics.HostLoadSample) {
+	maxLoad := 0.0
+	for i := range s.servers {
+		start := s.servers[i].CloseInterval(now)
+		s.hosts[i].OnMeasurementIntervalClose(start)
+		if l := s.servers[i].Load(); l > maxLoad {
+			maxLoad = l
 		}
 	}
-	return s.engine.Schedule(interval, tick)
+	tracked := s.cfg.TrackedHost
+	actual := s.servers[tracked].Load()
+	lower, upper := s.hosts[tracked].Estimator().Bounds(actual)
+	return maxLoad, metrics.HostLoadSample{Actual: actual, Lower: lower, Upper: upper}
 }
 
-// schedulePlacement drives each host's periodic DecidePlacement. Hosts are
-// staggered across the placement interval unless PlacementSynchronized.
-func (s *Simulation) schedulePlacement() error {
-	n := s.topo.NumNodes()
-	interval := s.cfg.PlacementInterval
-	for i := 0; i < n; i++ {
-		h := s.hosts[i]
-		offset := time.Duration(0)
-		if !s.cfg.PlacementSynchronized {
-			offset = interval * time.Duration(i) / time.Duration(n)
-		}
-		i := i
-		var tick simevent.Event
-		tick = func(now time.Duration) {
-			if !s.down[i] {
-				h.DecidePlacement(now)
-			}
-			if now+interval <= s.cfg.Duration {
-				_ = s.engine.Schedule(now+interval, tick)
-			}
-		}
-		if err := s.engine.Schedule(interval+offset, tick); err != nil {
-			return fmt.Errorf("sim: scheduling placement for host %d: %w", i, err)
-		}
+// Place runs host h's DecidePlacement unless it is down.
+func (s cluster) Place(now time.Duration, h topology.NodeID) {
+	if !s.down[h] {
+		s.hosts[h].DecidePlacement(now)
 	}
-	return nil
 }
 
-// scheduleCensus samples the average replica count per object once per
-// placement interval (Table 2's replica metric).
-func (s *Simulation) scheduleCensus() error {
-	interval := s.cfg.PlacementInterval
-	floor := s.cfg.Protocol.ReplicaFloor
-	var tick simevent.Event
-	tick = func(now time.Duration) {
-		if floor > 1 {
-			// One pass yields both the average and the below-floor census;
-			// below-floor object-seconds integrate count x interval.
-			total, below := 0, 0
-			for i := 0; i < s.cfg.Universe.Count; i++ {
-				c := s.redirectorFor(object.ID(i)).ReplicaCount(object.ID(i))
-				total += c
-				if c < floor {
-					below++
-				}
-			}
-			s.col.RecordReplicaCensus(now, float64(total)/float64(s.cfg.Universe.Count))
-			s.col.RecordBelowFloor(now, below, float64(below)*interval.Seconds())
-		} else {
-			s.col.RecordReplicaCensus(now, s.averageReplicas())
-		}
-		if now+interval <= s.cfg.Duration {
-			_ = s.engine.Schedule(now+interval, tick)
-		}
-	}
-	return s.engine.Schedule(interval, tick)
-}
-
-// averageReplicas returns the mean number of physical replicas per object.
-func (s *Simulation) averageReplicas() float64 {
-	total := 0
+// Census counts the replicas the redirectors record.
+func (s cluster) Census(_ time.Duration, floor int) (total, below int) {
 	for i := 0; i < s.cfg.Universe.Count; i++ {
-		total += s.redirectorFor(object.ID(i)).ReplicaCount(object.ID(i))
+		c := s.redirectorFor(object.ID(i)).ReplicaCount(object.ID(i))
+		total += c
+		if c < floor {
+			below++
+		}
 	}
-	return float64(total) / float64(s.cfg.Universe.Count)
+	return total, below
 }
 
 // Hosts exposes the protocol hosts (read-only use by tests and tools).
@@ -742,20 +546,6 @@ func (s *Simulation) CheckInvariants() error {
 	return nil
 }
 
-// trimSeries caps a series at the number of full buckets the run covers,
-// dropping the trailing partial bucket (deliveries completing just past
-// the horizon land there and would skew per-second rates).
-func (s *Simulation) trimSeries(points []metrics.Point) []metrics.Point {
-	full := int(s.cfg.Duration / s.cfg.MetricsBucket)
-	if full < 1 {
-		full = 1
-	}
-	if len(points) > full {
-		return points[:full]
-	}
-	return points
-}
-
 // results assembles the run's outputs.
 func (s *Simulation) results() *Results {
 	// Fold shard lanes' commutative accumulators into the main sinks
@@ -782,44 +572,20 @@ func (s *Simulation) results() *Results {
 			delete(s.outageStart, id)
 		}
 	}
-	r := &Results{
-		WorkloadName:      s.cfg.Workload.Name(),
-		Policy:            s.cfg.Policy,
-		Dynamic:           s.cfg.DynamicPlacement,
-		Duration:          s.cfg.Duration,
-		Seed:              s.cfg.Seed,
-		Bandwidth:         s.trimSeries(s.col.BandwidthSeries()),
-		Latency:           s.trimSeries(s.col.LatencySeries()),
-		LatencyP99:        s.trimSeries(s.col.LatencyQuantileSeries(0.99)),
-		OverheadPct:       s.trimSeries(s.col.OverheadPercentSeries()),
-		MaxLoad:           s.col.MaxLoadSeries(),
-		HostLoad:          s.col.HostLoadSeries(),
-		Replicas:          s.col.ReplicaSeries(),
-		Counters:          s.col.Counters(),
-		OverheadPercent:   s.col.OverheadPercent(),
-		AvgReplicas:       s.averageReplicas(),
-		DroppedChoices:    s.droppedChoices,
-		TimedOutRequests:  s.timedOut,
-		UpdatesInjected:   s.updatesInjected,
-		UpdatesPropagated: s.updatesPropagated,
-		Failures:          s.failures,
-		Recoveries:        s.recoveries,
-		FaultsEnabled:     s.faultsEnabled(),
-		LinkFailures:      s.linkFailures,
-		LinkRecoveries:    s.linkRecoveries,
-		FailedRequests:    s.col.Counters().FailedRequests,
-		FailedSeries:      s.trimSeries(s.col.FailedRequestSeries()),
-		Outages:           s.col.Outages(),
-		UnavailObjSecs:    s.col.UnavailableObjectSeconds(),
-		BelowFloor:        s.col.BelowFloorSeries(),
-		BelowFloorObjSecs: s.col.BelowFloorObjectSeconds(),
-		RepairByteHops:    s.repairByteHops,
-		HostStats:         make([]protocol.HostStats, len(s.hosts)),
-		InvariantsError:   s.CheckInvariants(),
-		TrackedHost:       s.cfg.TrackedHost,
-		HighWatermark:     s.cfg.Protocol.HighWatermark,
-		SandwichSlackRPS:  1e-9,
-	}
+	total, _ := cluster{s}.Census(s.cfg.Duration, 0)
+	r := NewResults(s.cfg, s.col, float64(total)/float64(s.cfg.Universe.Count))
+	r.DroppedChoices = s.droppedChoices
+	r.TimedOutRequests = s.timedOut
+	r.UpdatesInjected = s.updatesInjected
+	r.UpdatesPropagated = s.updatesPropagated
+	r.Failures = s.failures
+	r.Recoveries = s.recoveries
+	r.FaultsEnabled = s.faultsEnabled()
+	r.LinkFailures = s.linkFailures
+	r.LinkRecoveries = s.linkRecoveries
+	r.RepairByteHops = s.acct.RepairByteHops
+	r.InvariantsError = s.CheckInvariants()
+	r.HostStats = make([]protocol.HostStats, len(s.hosts))
 	for i, h := range s.hosts {
 		r.HostStats[i] = h.Stats
 	}
@@ -832,18 +598,7 @@ func (s *Simulation) results() *Results {
 		r.ReconcileRuns = s.ctrl.reconcileRuns
 		r.ReconcileByteHops = s.ctrl.reconcileByteHops
 	}
-	r.StoreEnabled = !s.cfg.Store.IsDefault()
-	r.StoreSpec = s.cfg.Store.String()
 	r.StoreLayers = store.Aggregate(s.stores)
-	r.BandwidthStats = metrics.Summarize(r.Bandwidth, 2)
-	r.LatencyStats = metrics.Summarize(r.Latency, 2)
-	r.AdjustmentTime, r.Adjusted = metrics.AdjustmentTime(r.Bandwidth, 1.10)
-	r.MaxLoadPeak = metrics.MaxValue(r.MaxLoad)
-	if len(r.MaxLoad) > 0 {
-		tail := r.MaxLoad[len(r.MaxLoad)*3/4:]
-		r.MaxLoadSettled = metrics.MaxValue(tail)
-	}
-	r.SandwichViolations = metrics.SandwichViolations(r.HostLoad, r.SandwichSlackRPS)
 	maxQ := 0
 	var totalServed int64
 	for _, srv := range s.servers {
@@ -854,8 +609,5 @@ func (s *Simulation) results() *Results {
 	}
 	r.MaxQueueLen = maxQ
 	r.TotalServed = totalServed
-	if math.IsNaN(r.BandwidthStats.ReductionPercent) {
-		r.BandwidthStats.ReductionPercent = 0
-	}
 	return r
 }
