@@ -13,9 +13,10 @@
 // control ticks, the generator paces requests in wall time, and instead of
 // comparing against the simulator the run is judged by an invariant
 // checker (-check) that scrapes the fleet's census and stats. -chaos takes
-// the simulator's fault-schedule DSL and deals it for real — SIGKILL-style
-// node crashes, control-plane partitions, client-hop latency — against the
-// in-process fleet, with crash windows reported to the checker.
+// the simulator's fault-schedule DSL and deals it for real — in-process
+// node crashes (listener closed, goroutines reaped), control-plane
+// partitions, client-hop latency — against the in-process fleet, with
+// crash windows reported to the checker.
 //
 // Examples:
 //
@@ -31,9 +32,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"math/rand"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -42,12 +41,10 @@ import (
 	"radar/internal/live"
 	"radar/internal/live/chaos"
 	"radar/internal/live/check"
-	"radar/internal/live/livetest"
 	"radar/internal/report"
 	"radar/internal/routing"
 	"radar/internal/scenario"
 	"radar/internal/sim"
-	"radar/internal/topology"
 )
 
 func main() {
@@ -84,6 +81,9 @@ func run() error {
 	if (*chaosSched != "" || *doCheck) && !*freeRunning {
 		return fmt.Errorf("-chaos and -check need -free-running (driver-paced replay is verified against the simulator instead)")
 	}
+	if *chaosSched != "" && *urls != "" {
+		return fmt.Errorf("-chaos needs the in-process fleet (radar-load must own the node lifecycles to kill them); drop -urls")
+	}
 
 	cfg, err := buildConfig(*name, *duration, *rps, *seed, *inflight, *freeRunning)
 	if err != nil {
@@ -93,32 +93,41 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
+	// The run: an in-process loopback fleet, or the mode's driver for an
+	// external fleet.
+	var (
+		r         runner
+		fleet     *live.Fleet
+		free      *live.FreeDriver
+		fleetURLs []string
+	)
+	if *urls == "" {
+		if fleet, err = live.NewFleet(cfg); err != nil {
+			return err
+		}
+		defer fleet.Close()
+		r, free, fleetURLs = fleet, fleet.FreeDriver(), fleet.URLs()
+	} else {
+		fleetURLs = strings.Split(*urls, ",")
+		if *freeRunning {
+			free, err = live.NewFreeDriver(cfg, fleetURLs)
+			r = free
+		} else {
+			r, err = live.NewDriver(cfg, fleetURLs)
+		}
+		if err != nil {
+			return err
+		}
+	}
+
 	if *freeRunning {
-		return runFree(ctx, cfg, *urls, *chaosSched, *doCheck || *chaosSched != "", *convergence, *gateFailed)
+		return runFree(ctx, cfg, r, free, fleet, fleetURLs, *chaosSched, *doCheck || *chaosSched != "", *convergence, *gateFailed)
 	}
 
 	start := time.Now()
-	var res *sim.Results
-	if *urls != "" {
-		fleet := strings.Split(*urls, ",")
-		d, err := live.NewDriver(cfg, fleet)
-		if err != nil {
-			return err
-		}
-		res, err = d.Run(ctx)
-		if err != nil {
-			return err
-		}
-	} else {
-		h, err := livetest.New(cfg)
-		if err != nil {
-			return err
-		}
-		defer h.Close()
-		res, err = h.Run(ctx)
-		if err != nil {
-			return err
-		}
+	res, err := r.Run(ctx)
+	if err != nil {
+		return err
 	}
 	wall := time.Since(start).Round(time.Millisecond)
 
@@ -138,57 +147,29 @@ func run() error {
 	return nil
 }
 
+// runner replays the workload: a *live.Fleet, a *live.Driver, or a
+// *live.FreeDriver.
+type runner interface {
+	Run(context.Context) (*sim.Results, error)
+}
+
 // floorWaitTimeout bounds how long runFree waits for the fleet's initial
-// floor repair before starting the invariant checker: objects seed with a
-// single replica, so a fresh fleet legitimately spends its first moments
-// below the replica floor.
+// floor repair before starting the invariant checker.
 const floorWaitTimeout = 30 * time.Second
 
 // runFree executes a free-running run: wall-clock load generation, an
 // optional chaos schedule against the in-process fleet, and an optional
-// invariant checker whose violations fail the run.
-func runFree(ctx context.Context, cfg live.Config, urlsCSV, schedule string, doCheck bool, convergence time.Duration, gate bool) error {
+// invariant checker whose violations fail the run. free is the run's load
+// generator, whose failure times the checker judges.
+func runFree(ctx context.Context, cfg live.Config, r runner, free *live.FreeDriver, fleet *live.Fleet, fleetURLs []string, schedule string, doCheck bool, convergence time.Duration, gate bool) error {
 	cfg = cfg.Normalized()
-	wall := cfg.Sim.Duration
-	var (
-		free      *live.FreeDriver
-		fleetURLs []string
-		target    *chaos.FleetTarget
-	)
-	if urlsCSV != "" {
-		if schedule != "" {
-			return fmt.Errorf("-chaos needs the in-process fleet (radar-load must own the node lifecycles to kill them); drop -urls")
-		}
-		fleetURLs = strings.Split(urlsCSV, ",")
-		d, err := live.NewFreeDriver(cfg, fleetURLs)
-		if err != nil {
-			return err
-		}
-		free = d
-	} else {
-		h, err := livetest.New(cfg)
-		if err != nil {
-			return err
-		}
-		defer h.Close()
-		free = h.Free
-		fleetURLs = h.Fleet.URLs()
-		if schedule != "" {
-			target = chaos.NewFleetTarget(h.Fleet, free.SetLatency)
-			defer target.Close()
-		}
-	}
-
 	routes := routing.New(cfg.Sim.Topo)
 	redirectors := live.RedirectorLocations(routes, cfg.Sim.NumRedirectors)
 
 	var checker *check.Checker
 	stopCheck := func() {}
 	if doCheck {
-		// Judge steady-state maintenance, not the boot transient: wait for
-		// the self-scheduled placement passes to finish the initial floor
-		// repair before the first scrape.
-		if err := awaitFloor(ctx, fleetURLs, redirectors); err != nil {
+		if err := check.AwaitFloor(ctx, fleetURLs, redirectors, floorWaitTimeout); err != nil {
 			return err
 		}
 		checker = check.New(check.Config{
@@ -208,7 +189,7 @@ func runFree(ctx context.Context, cfg live.Config, urlsCSV, schedule string, doC
 	chaosDone := make(chan error, 1)
 	var ctl *chaos.Controller
 	if schedule != "" {
-		plan, err := chaos.Plan(schedule, cfg.Sim.Topo, wall, rand.New(rand.NewSource(cfg.Sim.Seed)))
+		plan, err := chaos.Plan(schedule, cfg.Sim.Topo, cfg.Sim.Duration, rand.New(rand.NewSource(cfg.Sim.Seed)))
 		if err != nil {
 			return err
 		}
@@ -216,14 +197,14 @@ func runFree(ctx context.Context, cfg live.Config, urlsCSV, schedule string, doC
 		if checker != nil {
 			obs = checker
 		}
-		ctl = chaos.NewController(target, plan, obs)
+		ctl = chaos.NewController(fleet, plan, obs)
 		go func() { chaosDone <- ctl.Run(ctx, time.Now()) }()
 	} else {
 		chaosDone <- nil
 	}
 
 	start := time.Now()
-	runErr := free.Run(ctx, wall)
+	res, runErr := r.Run(ctx)
 	wallTook := time.Since(start).Round(time.Millisecond)
 	chaosErr := <-chaosDone
 	stopCheck()
@@ -234,7 +215,6 @@ func runFree(ctx context.Context, cfg live.Config, urlsCSV, schedule string, doC
 		return fmt.Errorf("chaos: %w", chaosErr)
 	}
 
-	res := free.Results(free.Census())
 	if err := report.Summary(res).Render(os.Stdout); err != nil {
 		return err
 	}
@@ -259,46 +239,6 @@ func runFree(ctx context.Context, cfg live.Config, urlsCSV, schedule string, doC
 		return fmt.Errorf("gate: %d failed requests (want zero)", res.FailedRequests)
 	}
 	return nil
-}
-
-// awaitFloor polls the redirectors' censuses until no object sits below
-// the replica floor (or with zero replicas), so invariant checking starts
-// from a converged fleet.
-func awaitFloor(ctx context.Context, urls []string, redirectors []topology.NodeID) error {
-	client := &http.Client{Timeout: 2 * time.Second}
-	defer client.CloseIdleConnections()
-	deadline := time.Now().Add(floorWaitTimeout)
-	for {
-		settled := true
-		for _, loc := range redirectors {
-			res, err := client.Get(urls[loc] + live.PathCensus)
-			if err != nil {
-				settled = false
-				continue
-			}
-			data, err := io.ReadAll(res.Body)
-			res.Body.Close()
-			if err != nil || res.StatusCode != http.StatusOK {
-				settled = false
-				continue
-			}
-			var rep live.CensusReply
-			if live.Decode(data, &rep) != nil || rep.BelowFloor > 0 || rep.Zero > 0 {
-				settled = false
-			}
-		}
-		if settled {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("fleet did not repair the initial replica-floor deficit within %v", floorWaitTimeout)
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(50 * time.Millisecond):
-		}
-	}
 }
 
 // buildConfig resolves a scenario into a live fleet configuration with the

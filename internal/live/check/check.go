@@ -253,13 +253,13 @@ func (c *Checker) Scrape() {
 	var censuses []censusResult
 	for _, loc := range c.cfg.Redirectors {
 		var rep live.CensusReply
-		ok := c.get(c.cfg.URLs[loc]+live.PathCensus, &rep) == nil
+		ok := get(c.client, c.cfg.URLs[loc]+live.PathCensus, &rep) == nil
 		censuses = append(censuses, censusResult{loc, rep, ok})
 	}
 	stats := make([]*live.StatsReply, len(c.cfg.URLs))
 	for i, u := range c.cfg.URLs {
 		var rep live.StatsReply
-		if c.get(u+live.PathStats, &rep) == nil {
+		if get(c.client, u+live.PathStats, &rep) == nil {
 			stats[i] = &rep
 		}
 	}
@@ -400,9 +400,40 @@ func (c *Checker) Report() *Report {
 	}
 }
 
+// AwaitFloor polls the redirectors' censuses until no object sits below
+// the replica floor or has no replica, so invariant checking starts from
+// a converged fleet and judges steady-state maintenance, not the boot
+// transient: objects seed with a single replica, so a fresh fleet
+// legitimately spends its first placement passes repairing the floor.
+func AwaitFloor(ctx context.Context, urls []string, redirectors []topology.NodeID, timeout time.Duration) error {
+	client := &http.Client{Timeout: 2 * time.Second}
+	defer client.CloseIdleConnections()
+	deadline := time.Now().Add(timeout)
+	for {
+		settled := true
+		for _, loc := range redirectors {
+			var rep live.CensusReply
+			if get(client, urls[loc]+live.PathCensus, &rep) != nil || rep.BelowFloor > 0 || rep.Zero > 0 {
+				settled = false
+			}
+		}
+		if settled {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("check: fleet did not repair the initial replica-floor deficit within %v", timeout)
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
+}
+
 // get fetches and decodes one JSON endpoint.
-func (c *Checker) get(url string, msg interface{ Validate() error }) error {
-	res, err := c.client.Get(url)
+func get(client *http.Client, url string, msg interface{ Validate() error }) error {
+	res, err := client.Get(url)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -202,5 +203,25 @@ func TestCheckFailures(t *testing.T) {
 	rep := c.Report()
 	if rep.OK() || rep.Violations[0].Rule != RuleFailures {
 		t.Fatalf("stray failure not flagged: %s", rep)
+	}
+}
+
+// TestAwaitFloor: the floor wait returns once every redirector reports no
+// object below the floor, and times out while one still does.
+func TestAwaitFloor(t *testing.T) {
+	n := newStubNode(t)
+	urls := []string{n.srv.URL}
+	reds := []topology.NodeID{0}
+	n.set(func(c *live.CensusReply, _ *live.StatsReply) {
+		c.Objects, c.TotalReplicas, c.MinReplicas, c.MaxReplicas, c.BelowFloor = 4, 5, 1, 2, 3
+	})
+	if err := AwaitFloor(context.Background(), urls, reds, 100*time.Millisecond); err == nil {
+		t.Fatal("floor wait returned while 3 objects sat below the floor")
+	}
+	n.set(func(c *live.CensusReply, _ *live.StatsReply) {
+		c.TotalReplicas, c.MinReplicas, c.BelowFloor = 8, 2, 0
+	})
+	if err := AwaitFloor(context.Background(), urls, reds, time.Second); err != nil {
+		t.Fatalf("floor wait on a converged fleet: %v", err)
 	}
 }

@@ -130,12 +130,6 @@ func (d *Driver) At(at time.Duration, fn func()) {
 	d.hooks = append(d.hooks, hook{at: at, fn: fn})
 }
 
-// MarkDown records a node as crashed and broadcasts the mark to the
-// remaining fleet, so redirectors fail subsequent choices over. Tests call
-// it right after Fleet.Kill; the driver also calls it itself when a
-// request to the node fails at the transport.
-func (d *Driver) MarkDown(i topology.NodeID) { d.markDown(i) }
-
 // Close releases the driver's idle HTTP connections; their keep-alive
 // goroutines would otherwise outlive the run and trip the goroutine-leak
 // check the integration harness runs at teardown.
@@ -430,7 +424,9 @@ func (d *Driver) checkEvent(e *Event) error {
 }
 
 // markDown records a crashed node and broadcasts the mark to the live
-// fleet, best-effort, so redirectors stop choosing its replicas.
+// fleet, so redirectors stop choosing its replicas. The driver calls it
+// when a request to the node fails at the transport, and Fleet.Kill right
+// after the crash.
 func (d *Driver) markDown(i topology.NodeID) {
 	if d.down[i] {
 		return
@@ -438,13 +434,7 @@ func (d *Driver) markDown(i topology.NodeID) {
 	d.down[i] = true
 	d.faultsSeen = true
 	d.failures++
-	msg := MarkMsg{Host: int(i), Down: true}
-	for j := 0; j < d.n; j++ {
-		if d.down[j] {
-			continue
-		}
-		_ = d.post(d.urls[j], PathMark, &msg, nil)
-	}
+	broadcastMark(d.client, d.urls, i, true, func(j topology.NodeID) bool { return d.down[j] })
 }
 
 // post issues one un-retried POST: the driver's control ops (measure,

@@ -118,13 +118,13 @@ func checkSimLiveEquivalent(t *testing.T, cfg live.Config) {
 		t.Fatalf("running simulation: %v", err)
 	}
 
-	h := livetest.Start(t, cfg)
-	liveRes, err := h.Run(context.Background())
+	f := livetest.Start(t, cfg)
+	liveRes, err := f.Run(context.Background())
 	if err != nil {
 		t.Fatalf("running live fleet: %v", err)
 	}
 
-	liveDecisions := h.Driver.Decisions()
+	liveDecisions := f.Driver().Decisions()
 	if len(rec.events) == 0 {
 		t.Fatal("simulation made no placement decisions; the workload is too small to pin anything")
 	}

@@ -2,6 +2,7 @@ package live_test
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"strconv"
@@ -10,6 +11,7 @@ import (
 
 	"radar/internal/live"
 	"radar/internal/live/livetest"
+	"radar/internal/sim"
 	"radar/internal/topology"
 )
 
@@ -28,18 +30,24 @@ func TestRedirectorFailover(t *testing.T) {
 	cfg := liveConfig(t, topology.Star(4), 16, 10, duration)
 	cfg.Sim.Protocol.ReplicaFloor = 2
 
-	h := livetest.Start(t, cfg)
-	h.Driver.At(killAt, func() {
-		if err := h.Kill(victim); err != nil {
+	f := livetest.Start(t, cfg)
+	f.Driver().At(killAt, func() {
+		if err := f.Kill(victim); err != nil {
 			t.Errorf("killing node %d: %v", victim, err)
 		}
 	})
-	res, err := h.Run(context.Background())
+	res, err := f.Run(context.Background())
 	if err != nil {
 		t.Fatalf("running fleet: %v", err)
 	}
+	if _, err := f.Run(context.Background()); !errors.Is(err, sim.ErrScheduleStarted) {
+		t.Fatalf("second Run: %v, want sim.ErrScheduleStarted", err)
+	}
+	if err := f.Restart(victim); err == nil {
+		t.Fatal("driver-paced fleet restarted a node its driver marked down")
+	}
 
-	if !h.Fleet.Killed(victim) {
+	if !f.Killed(victim) {
 		t.Fatal("victim still alive")
 	}
 	if res.Failures != 1 {
@@ -73,7 +81,7 @@ func TestRedirectorFailover(t *testing.T) {
 	}
 	// Round-robin homes: object 3 started on the victim in a 4-node fleet.
 	obj := int64(victim)
-	resp, err := client.Get(h.Fleet.URL(0) + live.PathReplicas + "?obj=" + strconv.FormatInt(obj, 10) + "&hosts=1")
+	resp, err := client.Get(f.URL(0) + live.PathReplicas + "?obj=" + strconv.FormatInt(obj, 10) + "&hosts=1")
 	if err != nil {
 		t.Fatalf("replica query: %v", err)
 	}
@@ -93,7 +101,7 @@ func TestRedirectorFailover(t *testing.T) {
 		t.Fatalf("object %d has no surviving replica: hosts %v", obj, rep.Hosts)
 	}
 
-	redirect, err := client.Get(h.Fleet.URL(0) + live.PathObj + strconv.FormatInt(obj, 10) + "?g=1&now=" + strconv.FormatInt(int64(duration), 10))
+	redirect, err := client.Get(f.URL(0) + live.PathObj + strconv.FormatInt(obj, 10) + "?g=1&now=" + strconv.FormatInt(int64(duration), 10))
 	if err != nil {
 		t.Fatalf("object request: %v", err)
 	}

@@ -1,31 +1,43 @@
 package live
 
 import (
+	"bytes"
+	"context"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"sync"
 	"time"
 
 	"radar/internal/routing"
+	"radar/internal/sim"
 	"radar/internal/topology"
 )
 
 // Fleet runs every node of one configuration in-process, each behind its
-// own loopback HTTP listener on an ephemeral port — the harness the
-// integration tests, the equivalence test, and radar-load's default mode
-// drive. Kill closes a node's listener and in-flight connections and stops
-// the node's own goroutines (tickers, pending completions, in-flight
-// client retries), making the node indistinguishable from a SIGKILLed
-// process to the rest of the fleet: connections refused, no further
-// control traffic. Restart brings a killed node back on its original
-// address as a fresh incarnation booted from the seed image, the way a
-// crashed process restarts from disk.
+// own loopback HTTP listener on an ephemeral port, together with the
+// mode's load driver — the one handle on a running fleet that the
+// integration tests, the facade's live mode, radar-load's default mode,
+// and the chaos controller (Fleet satisfies chaos.Target) all use.
+//
+// Kill closes a node's listener and in-flight connections and stops the
+// node's own goroutines (tickers, pending completions, in-flight client
+// retries): to the rest of the fleet the node is indistinguishable from a
+// crashed process — connections refused, no further control traffic.
+// Restart brings a killed node back on its original address as a fresh
+// incarnation booted from the seed image, the way a crashed process
+// restarts from disk.
 type Fleet struct {
 	cfg    Config
 	routes *routing.Table
 	epoch  time.Time
 	urls   []string
+	client *http.Client // chaos control posts: marks and peer rewrites
+
+	// Exactly one is non-nil, keyed by Config.FreeRunning.
+	driver *Driver
+	free   *FreeDriver
 
 	mu        sync.Mutex
 	nodes     []*Node
@@ -35,8 +47,13 @@ type Fleet struct {
 	killed    []bool
 }
 
-// NewFleet builds and starts one node per topology member on
-// 127.0.0.1:0 listeners.
+// readyTimeout bounds how long NewFleet and Restart wait for the fleet to
+// answer its readiness probes.
+const readyTimeout = 10 * time.Second
+
+// NewFleet builds and starts one node per topology member on 127.0.0.1:0
+// listeners, waits until every node reports ready, and attaches the
+// mode's driver. The caller owns Close.
 func NewFleet(cfg Config) (*Fleet, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -50,6 +67,7 @@ func NewFleet(cfg Config) (*Fleet, error) {
 		epoch:     time.Now(),
 		nodes:     make([]*Node, n),
 		urls:      make([]string, n),
+		client:    &http.Client{Timeout: 2 * time.Second},
 		servers:   make([]*http.Server, n),
 		listeners: make([]net.Listener, n),
 		serveDone: make([]chan struct{}, n),
@@ -73,6 +91,18 @@ func NewFleet(cfg Config) (*Fleet, error) {
 		}
 		f.startNode(topology.NodeID(i), nd, f.listeners[i], false)
 	}
+	err := waitReady(f.urls, f.Killed, readyTimeout)
+	if err == nil {
+		if cfg.FreeRunning {
+			f.free, err = NewFreeDriver(cfg, f.urls)
+		} else {
+			f.driver, err = NewDriver(cfg, f.urls)
+		}
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
 	return f, nil
 }
 
@@ -92,6 +122,26 @@ func (f *Fleet) startNode(i topology.NodeID, nd *Node, ln net.Listener, recovere
 	nd.Start(f.epoch, recovered)
 }
 
+// Run replays the configured workload against the fleet and returns the
+// run's results in the simulator's schema: Driver.Run in driver-paced
+// mode, FreeDriver.Run (load for Sim.Duration of wall time, then a final
+// census) in free-running mode. A second call returns
+// sim.ErrScheduleStarted.
+func (f *Fleet) Run(ctx context.Context) (*sim.Results, error) {
+	if f.free != nil {
+		return f.free.Run(ctx)
+	}
+	return f.driver.Run(ctx)
+}
+
+// Driver returns the driver-paced driver (nil in free-running mode), for
+// scheduling mid-replay hooks and reading the decision sequence.
+func (f *Fleet) Driver() *Driver { return f.driver }
+
+// FreeDriver returns the free-running load generator (nil in driver-paced
+// mode), for its request totals and failure times.
+func (f *Fleet) FreeDriver() *FreeDriver { return f.free }
+
 // NumNodes returns the fleet size.
 func (f *Fleet) NumNodes() int { return len(f.nodes) }
 
@@ -101,29 +151,34 @@ func (f *Fleet) URLs() []string { return append([]string(nil), f.urls...) }
 // URL returns one node's base URL.
 func (f *Fleet) URL(i topology.NodeID) string { return f.urls[i] }
 
-// Node returns a fleet member for in-process inspection.
-func (f *Fleet) Node(i topology.NodeID) *Node {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.nodes[i]
-}
-
 // Routes returns the shared routing table.
 func (f *Fleet) Routes() *routing.Table { return f.routes }
 
 // Config returns the normalized fleet configuration.
 func (f *Fleet) Config() Config { return f.cfg }
 
-// Epoch returns the wall-clock zero of the fleet's virtual time.
-func (f *Fleet) Epoch() time.Time { return f.epoch }
-
-// Kill crashes a node: its listener closes, open connections are torn
-// down, and the node's goroutines (tickers, timers, client retries) are
-// reaped, so every subsequent request to it fails at the transport and
-// nothing of the node keeps running — the in-process equivalent of
-// SIGKILL. The node's memory (host, server, redirector) is retained for
-// test inspection.
+// Kill crashes a node and tells the survivors, the live analog of the
+// simulator's crash detection: its listener closes, open connections are
+// torn down, and the node's goroutines (tickers, timers, client retries)
+// are reaped, so every subsequent request to it fails at the transport
+// and nothing of the node keeps running. The surviving nodes then get the
+// down mark, so their redirectors stop choosing its replicas; in
+// driver-paced mode the driver records the crash and sends the mark, and
+// Kill must then run inside a Driver.At hook, on the driver's goroutine.
+// The node's memory (host, server, redirector) is retained.
 func (f *Fleet) Kill(i topology.NodeID) error {
+	if err := f.crash(i); err != nil {
+		return err
+	}
+	if f.driver != nil {
+		f.driver.markDown(i)
+	} else {
+		broadcastMark(f.client, f.urls, i, true, f.Killed)
+	}
+	return nil
+}
+
+func (f *Fleet) crash(i topology.NodeID) error {
 	f.mu.Lock()
 	if f.killed[i] {
 		f.mu.Unlock()
@@ -150,11 +205,27 @@ func (f *Fleet) Kill(i topology.NodeID) error {
 }
 
 // Restart brings a killed node back on its original address as a fresh
-// incarnation: cold state rebuilt from the configuration (the seed image a
-// real process reloads from disk), a new boot ID, and — in free-running
-// mode — re-registration of its held replicas with the fleet's
-// redirectors before the node reports ready.
+// incarnation — cold state rebuilt from the configuration (the seed image
+// a real process reloads from disk), a new boot ID, and re-registration of
+// its held replicas with the fleet's redirectors — waits until the fleet
+// reports ready, so a follow-up action cannot race the recovery, and then
+// clears the survivors' down marks. Restart is free-running only: the
+// driver-paced driver never takes a node back once it marked it down.
 func (f *Fleet) Restart(i topology.NodeID) error {
+	if f.driver != nil {
+		return fmt.Errorf("live: restarting node %d in driver-paced mode, whose driver never marks a node up", i)
+	}
+	if err := f.revive(i); err != nil {
+		return err
+	}
+	if err := waitReady(f.urls, f.Killed, readyTimeout); err != nil {
+		return err
+	}
+	broadcastMark(f.client, f.urls, i, false, f.Killed)
+	return nil
+}
+
+func (f *Fleet) revive(i topology.NodeID) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if !f.killed[i] {
@@ -182,7 +253,45 @@ func (f *Fleet) Killed(i topology.NodeID) bool {
 	return f.killed[i]
 }
 
-// Close tears the whole fleet down, reaping every node's goroutines.
+// SetPartition cuts (or heals) the control plane between a and b by
+// poisoning (or restoring) each side's peer-URL entry for the other. Only
+// the control plane is cut — the serve-URL manifest behind client 302s is
+// immutable by design.
+func (f *Fleet) SetPartition(a, b topology.NodeID, cut bool) error {
+	if err := f.setPeer(a, b, cut); err != nil {
+		return err
+	}
+	return f.setPeer(b, a, cut)
+}
+
+func (f *Fleet) setPeer(on, peer topology.NodeID, cut bool) error {
+	if f.Killed(on) {
+		return nil // a dead node has no peer table to poison
+	}
+	url := PoisonURL
+	if !cut {
+		url = f.urls[peer]
+	}
+	msg := PeersMsg{Peer: int(peer), URL: url}
+	res, err := f.client.Post(f.urls[on]+PathPeers, "application/json", bytes.NewReader(Encode(&msg)))
+	if err != nil {
+		return err
+	}
+	return readReply(res, f.urls[on], PathPeers, nil)
+}
+
+// SetLatency sets the free-running generator's client-hop delay, injected
+// before every request.
+func (f *Fleet) SetLatency(d time.Duration) error {
+	if f.free == nil {
+		return fmt.Errorf("live: latency injection needs free-running mode")
+	}
+	f.free.SetLatency(d)
+	return nil
+}
+
+// Close tears the whole fleet down, reaping every node's goroutines and
+// releasing the driver's and the fleet's own connections.
 func (f *Fleet) Close() {
 	f.mu.Lock()
 	var wait []chan struct{}
@@ -210,41 +319,59 @@ func (f *Fleet) Close() {
 		case <-time.After(5 * time.Second):
 		}
 	}
+	if f.driver != nil {
+		f.driver.Close()
+	}
+	f.client.CloseIdleConnections()
 }
 
-// WaitHealthy polls every live node's health endpoint until it answers or
-// the deadline passes.
-func (f *Fleet) WaitHealthy(timeout time.Duration) error {
-	return f.wait(PathHealth, timeout)
+// broadcastMark posts a reachability mark for host to every node skip does
+// not exclude, best-effort: a node that misses the mark rediscovers
+// reachability through its own RPC failures.
+func broadcastMark(client *http.Client, urls []string, host topology.NodeID, down bool, skip func(topology.NodeID) bool) {
+	body := Encode(&MarkMsg{Host: int(host), Down: down})
+	for j, u := range urls {
+		if skip(topology.NodeID(j)) {
+			continue
+		}
+		if res, err := client.Post(u+PathMark, "application/json", bytes.NewReader(body)); err == nil {
+			_, _ = io.Copy(io.Discard, res.Body)
+			res.Body.Close()
+		}
+	}
 }
 
-// WaitReady polls every live node's readiness endpoint — the one that
-// requires the node to have booted (tickers running, recovery
-// re-registration done), which is what restart coordination must gate on.
-func (f *Fleet) WaitReady(timeout time.Duration) error {
-	return f.wait(PathReady, timeout)
-}
-
-func (f *Fleet) wait(path string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
+// waitReady polls the readiness endpoint of every node skip does not
+// exclude — the one that requires the node to have booted (tickers
+// running, recovery re-registration done) — until each answers 200 or the
+// timeout passes. Every probe is bounded by the time left, so a node that
+// accepts connections but never answers cannot stall the wait.
+func waitReady(urls []string, skip func(topology.NodeID) bool, timeout time.Duration) error {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
 	client := &http.Client{}
 	defer client.CloseIdleConnections()
-	for i, u := range f.urls {
-		if f.Killed(topology.NodeID(i)) {
+	for i, u := range urls {
+		if skip(topology.NodeID(i)) {
 			continue
 		}
 		for {
-			res, err := client.Get(u + path)
-			if err == nil {
+			req, err := http.NewRequestWithContext(ctx, http.MethodGet, u+PathReady, nil)
+			if err != nil {
+				return err
+			}
+			if res, err := client.Do(req); err == nil {
+				_, _ = io.Copy(io.Discard, res.Body)
 				res.Body.Close()
 				if res.StatusCode == http.StatusOK {
 					break
 				}
 			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("live: node %d not answering %s after %v", i, path, timeout)
+			select {
+			case <-ctx.Done():
+				return fmt.Errorf("live: node %d not answering %s after %v", i, PathReady, timeout)
+			case <-time.After(5 * time.Millisecond):
 			}
-			time.Sleep(5 * time.Millisecond)
 		}
 	}
 	return nil

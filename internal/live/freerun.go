@@ -47,7 +47,7 @@ type FreeDriver struct {
 	failMu   sync.Mutex
 	failures []time.Time
 
-	ran bool
+	ran atomic.Bool
 }
 
 // freeDriverHTTPTimeout bounds each request end to end; a killed node
@@ -85,17 +85,20 @@ func NewFreeDriver(cfg Config, urls []string) (*FreeDriver, error) {
 // chaos controller's client-hop latency.
 func (d *FreeDriver) SetLatency(lat time.Duration) { d.latency.Store(int64(lat)) }
 
-// Run generates load for the given wall-clock duration (or until ctx is
-// cancelled) and returns the totals. Run must be called at most once.
-func (d *FreeDriver) Run(ctx context.Context, wall time.Duration) error {
-	if d.ran {
-		return fmt.Errorf("live: free driver already ran")
+// Run generates load for Sim.Duration of wall time (or until ctx is
+// cancelled), then takes a final census and returns the run's totals in
+// the simulator's results schema. A census that misses a redirector fails
+// the run rather than undercount. A second call returns
+// sim.ErrScheduleStarted, as Driver.Run does.
+func (d *FreeDriver) Run(ctx context.Context) (*sim.Results, error) {
+	if !d.ran.CompareAndSwap(false, true) {
+		return nil, sim.ErrScheduleStarted
 	}
-	d.ran = true
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	runCtx, cancel := context.WithTimeout(ctx, wall)
+	defer d.client.CloseIdleConnections()
+	runCtx, cancel := context.WithTimeout(ctx, d.cfg.Sim.Duration)
 	defer cancel()
 	d.epoch = time.Now()
 	var wg sync.WaitGroup
@@ -115,8 +118,14 @@ func (d *FreeDriver) Run(ctx context.Context, wall time.Duration) error {
 		}()
 	}
 	wg.Wait()
-	d.client.CloseIdleConnections()
-	return ctx.Err()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	census, err := d.Census()
+	if err != nil {
+		return nil, err
+	}
+	return d.results(census), nil
 }
 
 // generate paces one gateway's request stream in real time.
@@ -199,11 +208,6 @@ func (d *FreeDriver) noteFailure() {
 	d.failMu.Unlock()
 }
 
-// Served, Failed, and TimedOut return the request totals so far.
-func (d *FreeDriver) Served() int64   { return d.served.Load() }
-func (d *FreeDriver) Failed() int64   { return d.failed.Load() }
-func (d *FreeDriver) TimedOut() int64 { return d.timedOut.Load() }
-
 // Failures returns the wall-clock times of every failed request.
 func (d *FreeDriver) Failures() []time.Time {
 	d.failMu.Lock()
@@ -211,11 +215,11 @@ func (d *FreeDriver) Failures() []time.Time {
 	return append([]time.Time(nil), d.failures...)
 }
 
-// Results assembles the free run's totals in the simulator's results
+// results assembles the free run's totals in the simulator's results
 // schema. Free-running mode has no virtual-time metrics pipeline — the
 // series and network accounting stay empty; the counters and the census
 // are real.
-func (d *FreeDriver) Results(fleetCensus float64) *sim.Results {
+func (d *FreeDriver) results(fleetCensus float64) *sim.Results {
 	return &sim.Results{
 		WorkloadName:     d.cfg.Sim.Workload.Name(),
 		Policy:           d.cfg.Sim.Policy,
@@ -232,26 +236,21 @@ func (d *FreeDriver) Results(fleetCensus float64) *sim.Results {
 }
 
 // Census scrapes the fleet's redirectors once and returns the mean replica
-// count per object (the driver-paced finalCensus analog) — used to fill
-// Results and by callers wanting a quick fleet health read.
-func (d *FreeDriver) Census() float64 {
+// count per object (the driver-paced final census analog). A redirector
+// that does not answer fails the census: its objects would otherwise
+// count as holding no replica.
+func (d *FreeDriver) Census() (float64, error) {
 	total := 0
-	client := &http.Client{Timeout: freeDriverHTTPTimeout}
-	defer client.CloseIdleConnections()
 	for _, loc := range d.redLocs {
-		res, err := client.Get(d.urls[loc] + PathCensus)
-		if err != nil {
-			continue
-		}
-		data, err := io.ReadAll(res.Body)
-		res.Body.Close()
-		if err != nil || res.StatusCode != http.StatusOK {
-			continue
-		}
+		res, err := d.client.Get(d.urls[loc] + PathCensus)
 		var rep CensusReply
-		if Decode(data, &rep) == nil {
-			total += rep.TotalReplicas
+		if err == nil {
+			err = readReply(res, d.urls[loc], PathCensus, &rep)
 		}
+		if err != nil {
+			return 0, fmt.Errorf("live: census of redirector %d: %w", loc, err)
+		}
+		total += rep.TotalReplicas
 	}
-	return float64(total) / float64(d.cfg.Sim.Universe.Count)
+	return float64(total) / float64(d.cfg.Sim.Universe.Count), nil
 }

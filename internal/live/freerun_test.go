@@ -2,8 +2,8 @@ package live_test
 
 import (
 	"context"
-	"io"
-	"net/http"
+	"errors"
+	"net"
 	"testing"
 	"time"
 
@@ -12,6 +12,7 @@ import (
 	"radar/internal/live/chaos"
 	"radar/internal/live/check"
 	"radar/internal/live/livetest"
+	"radar/internal/sim"
 	"radar/internal/topology"
 )
 
@@ -37,63 +38,25 @@ func freeRunConfig(t *testing.T, topo *topology.Topology, wall time.Duration) li
 	return cfg
 }
 
-// awaitFloorConverged waits for the fleet's self-scheduled placement
-// passes to finish the initial floor repair (objects seed with one
-// replica; the floor demands more). Invariant checking starts from this
-// converged state: the checker judges steady-state maintenance, not the
-// boot transient — which under -race can legitimately outlast any
-// reasonable convergence budget.
-func awaitFloorConverged(t *testing.T, h *livetest.Harness, timeout time.Duration) {
-	t.Helper()
-	cfg := h.Fleet.Config()
-	locs := live.RedirectorLocations(h.Fleet.Routes(), cfg.Sim.NumRedirectors)
-	client := &http.Client{Timeout: 2 * time.Second}
-	defer client.CloseIdleConnections()
-	deadline := time.Now().Add(timeout)
-	for {
-		settled := true
-		for _, loc := range locs {
-			rep, ok := fetchCensus(t, client, h.Fleet.URL(loc))
-			if !ok || rep.BelowFloor > 0 || rep.Zero > 0 {
-				settled = false
-			}
-		}
-		if settled {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("fleet did not repair the initial floor deficit within %v", timeout)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
+// The fleet satisfies the chaos controller's target interface itself.
+var _ chaos.Target = (*live.Fleet)(nil)
 
-func fetchCensus(t *testing.T, client *http.Client, base string) (live.CensusReply, bool) {
+// startFreeRun starts a free-running fleet, waits for its initial floor
+// repair (objects seed with one replica; the floor demands more — under
+// -race the repair can outlast any reasonable convergence budget, and the
+// checker judges steady-state maintenance), and wires an invariant checker
+// to it; the returned stop function halts scraping.
+func startFreeRun(t *testing.T, cfg live.Config, convergence time.Duration) (*live.Fleet, *check.Checker, func()) {
 	t.Helper()
-	var rep live.CensusReply
-	res, err := client.Get(base + live.PathCensus)
-	if err != nil {
-		return rep, false
+	f := livetest.Start(t, cfg)
+	redirectors := live.RedirectorLocations(f.Routes(), f.Config().Sim.NumRedirectors)
+	if err := check.AwaitFloor(context.Background(), f.URLs(), redirectors, 30*time.Second); err != nil {
+		t.Fatal(err)
 	}
-	defer res.Body.Close()
-	data, err := io.ReadAll(res.Body)
-	if err != nil || res.StatusCode != http.StatusOK {
-		return rep, false
-	}
-	if err := live.Decode(data, &rep); err != nil {
-		t.Fatalf("decoding census: %v", err)
-	}
-	return rep, true
-}
-
-// startChecker wires an invariant checker to the harness fleet and starts
-// its scrape loop; the returned stop function halts scraping.
-func startChecker(h *livetest.Harness, interval, convergence time.Duration) (*check.Checker, func()) {
-	cfg := h.Fleet.Config()
 	checker := check.New(check.Config{
-		URLs:        h.Fleet.URLs(),
-		Redirectors: live.RedirectorLocations(h.Fleet.Routes(), cfg.Sim.NumRedirectors),
-		Interval:    interval,
+		URLs:        f.URLs(),
+		Redirectors: redirectors,
+		Interval:    100 * time.Millisecond,
 		Convergence: convergence,
 	})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -102,7 +65,7 @@ func startChecker(h *livetest.Harness, interval, convergence time.Duration) (*ch
 		defer close(done)
 		checker.Run(ctx)
 	}()
-	return checker, func() { cancel(); <-done }
+	return f, checker, func() { cancel(); <-done }
 }
 
 // TestFreeRunningServes: a free-running fleet with no chaos serves load on
@@ -110,30 +73,34 @@ func startChecker(h *livetest.Harness, interval, convergence time.Duration) (*ch
 // checker stays silent.
 func TestFreeRunningServes(t *testing.T) {
 	const wall = 3 * time.Second
-	cfg := freeRunConfig(t, topology.Star(4), wall)
-	h := livetest.Start(t, cfg)
-	awaitFloorConverged(t, h, 30*time.Second)
-	checker, stopCheck := startChecker(h, 100*time.Millisecond, 2*time.Second)
+	f, checker, stopCheck := startFreeRun(t, freeRunConfig(t, topology.Star(4), wall), 2*time.Second)
 
-	if err := h.Free.Run(context.Background(), wall); err != nil {
+	res, err := f.Run(context.Background())
+	if err != nil {
 		t.Fatalf("free run: %v", err)
 	}
 	stopCheck()
-	checker.CheckFailures(h.Free.Failures())
+	checker.CheckFailures(f.FreeDriver().Failures())
 
 	if rep := checker.Report(); !rep.OK() {
 		t.Fatalf("invariant violations on a healthy fleet:\n%s", rep)
 	} else if rep.Scrapes == 0 {
 		t.Fatal("checker never scraped")
 	}
-	if h.Free.Served() == 0 {
+	if res.TotalServed == 0 {
 		t.Fatal("no requests served")
 	}
-	if h.Free.Failed() != 0 {
-		t.Fatalf("%d failed requests on a healthy fleet", h.Free.Failed())
+	if res.FailedRequests != 0 {
+		t.Fatalf("%d failed requests on a healthy fleet", res.FailedRequests)
 	}
-	for i := 0; i < h.Fleet.NumNodes(); i++ {
-		st := nodeStats(t, h.Fleet.URL(topology.NodeID(i)))
+	if res.AvgReplicas < 2 {
+		t.Fatalf("final census %.2f replicas per object, below the floor of 2", res.AvgReplicas)
+	}
+	if _, err := f.Run(context.Background()); !errors.Is(err, sim.ErrScheduleStarted) {
+		t.Fatalf("second Run: %v, want sim.ErrScheduleStarted", err)
+	}
+	for i := 0; i < f.NumNodes(); i++ {
+		st := nodeStats(t, f.URL(topology.NodeID(i)))
 		if st.MeasureTicks == 0 {
 			t.Errorf("node %d never ran a measurement tick", i)
 		}
@@ -144,7 +111,8 @@ func TestFreeRunningServes(t *testing.T) {
 }
 
 // TestChaosKillRestartInvariants is the headline free-running test: a
-// scheduled chaos plan SIGKILLs a leaf node mid-run and restarts it, the
+// scheduled chaos plan kills a leaf node mid-run (in process: listener
+// closed, goroutines reaped) and restarts it, the
 // fleet keeps serving on its own clocks, and the invariant checker
 // reports zero violations — the floor is repaired, no object is lost,
 // counters stay monotone per boot, and every failed request falls inside
@@ -155,36 +123,32 @@ func TestChaosKillRestartInvariants(t *testing.T) {
 		convergence = 3 * time.Second
 		victim      = topology.NodeID(3) // Star(4) leaf; node 0 is the redirector
 	)
-	cfg := freeRunConfig(t, topology.Star(4), wall)
-	h := livetest.Start(t, cfg)
-	awaitFloorConverged(t, h, 30*time.Second)
-	checker, stopCheck := startChecker(h, 100*time.Millisecond, convergence)
+	f, checker, stopCheck := startFreeRun(t, freeRunConfig(t, topology.Star(4), wall), convergence)
 
 	// The same DSL clause the simulator takes: kill node 3 at T+2s,
 	// restart it 2s later.
-	plan, err := chaos.Plan("crash:3@2s+2s", h.Fleet.Config().Sim.Topo, wall, nil)
+	plan, err := chaos.Plan("crash:3@2s+2s", f.Config().Sim.Topo, wall, nil)
 	if err != nil {
 		t.Fatalf("planning chaos: %v", err)
 	}
-	target := chaos.NewFleetTarget(h.Fleet, h.Free.SetLatency)
-	defer target.Close()
-	ctl := chaos.NewController(target, plan, checker)
+	ctl := chaos.NewController(f, plan, checker)
 
-	bootBefore := nodeStats(t, h.Fleet.URL(victim)).BootID
+	bootBefore := nodeStats(t, f.URL(victim)).BootID
 
 	ctx, cancel := context.WithTimeout(context.Background(), wall+30*time.Second)
 	defer cancel()
 	chaosDone := make(chan error, 1)
 	go func() { chaosDone <- ctl.Run(ctx, time.Now()) }()
 
-	if err := h.Free.Run(ctx, wall); err != nil {
+	res, err := f.Run(ctx)
+	if err != nil {
 		t.Fatalf("free run: %v", err)
 	}
 	if err := <-chaosDone; err != nil {
 		t.Fatalf("chaos controller: %v", err)
 	}
 	stopCheck()
-	checker.CheckFailures(h.Free.Failures())
+	checker.CheckFailures(f.FreeDriver().Failures())
 
 	if got := len(ctl.Applied()); got != 2 {
 		t.Fatalf("chaos applied %d actions %v, want kill+restart", got, ctl.Applied())
@@ -194,14 +158,14 @@ func TestChaosKillRestartInvariants(t *testing.T) {
 	} else if rep.Scrapes < 10 {
 		t.Fatalf("checker only scraped %d times over %v", rep.Scrapes, wall)
 	}
-	if h.Free.Served() == 0 {
+	if res.TotalServed == 0 {
 		t.Fatal("no requests served")
 	}
 	// The victim came back as a fresh incarnation and is serving again.
-	if h.Fleet.Killed(victim) {
+	if f.Killed(victim) {
 		t.Fatal("victim still marked killed after its scheduled restart")
 	}
-	st := nodeStats(t, h.Fleet.URL(victim))
+	st := nodeStats(t, f.URL(victim))
 	if st.BootID == bootBefore {
 		t.Fatalf("victim's boot ID %d unchanged across kill+restart", st.BootID)
 	}
@@ -217,44 +181,82 @@ func TestChaosKillRestartInvariants(t *testing.T) {
 // is deliberately untouched.
 func TestChaosPartitionHeals(t *testing.T) {
 	const wall = 4 * time.Second
-	cfg := freeRunConfig(t, topology.Star(4), wall)
-	h := livetest.Start(t, cfg)
-	awaitFloorConverged(t, h, 30*time.Second)
-	checker, stopCheck := startChecker(h, 100*time.Millisecond, 2*time.Second)
+	f, checker, stopCheck := startFreeRun(t, freeRunConfig(t, topology.Star(4), wall), 2*time.Second)
 
-	plan, err := chaos.Plan("link:0-2@1s+1500ms", h.Fleet.Config().Sim.Topo, wall, nil)
+	plan, err := chaos.Plan("link:0-2@1s+1500ms", f.Config().Sim.Topo, wall, nil)
 	if err != nil {
 		t.Fatalf("planning chaos: %v", err)
 	}
-	target := chaos.NewFleetTarget(h.Fleet, h.Free.SetLatency)
-	defer target.Close()
-	ctl := chaos.NewController(target, plan, checker)
+	ctl := chaos.NewController(f, plan, checker)
 
 	ctx, cancel := context.WithTimeout(context.Background(), wall+30*time.Second)
 	defer cancel()
 	chaosDone := make(chan error, 1)
 	go func() { chaosDone <- ctl.Run(ctx, time.Now()) }()
-	if err := h.Free.Run(ctx, wall); err != nil {
+	res, err := f.Run(ctx)
+	if err != nil {
 		t.Fatalf("free run: %v", err)
 	}
 	if err := <-chaosDone; err != nil {
 		t.Fatalf("chaos controller: %v", err)
 	}
 	stopCheck()
-	checker.CheckFailures(h.Free.Failures())
+	checker.CheckFailures(f.FreeDriver().Failures())
 
 	if rep := checker.Report(); !rep.OK() {
 		t.Fatalf("invariant violations after partition+heal:\n%s", rep)
 	}
-	if h.Free.Served() == 0 {
+	if res.TotalServed == 0 {
 		t.Fatal("no requests served")
 	}
 	// Both sides survived the partition with RPCs refused at the client;
 	// at least one should have recorded unreachable-peer fast-failures if
 	// any control traffic crossed the cut, and none may have crashed.
-	for i := 0; i < h.Fleet.NumNodes(); i++ {
-		if h.Fleet.Killed(topology.NodeID(i)) {
+	for i := 0; i < f.NumNodes(); i++ {
+		if f.Killed(topology.NodeID(i)) {
 			t.Fatalf("node %d died during a control-plane partition", i)
 		}
+	}
+}
+
+// TestFreeRunCensusFailsOnUnreachableRedirector: a redirector that does not
+// answer the final census fails the census and the run, instead of
+// counting its objects as holding no replica. Of two concurrent Runs, one
+// runs and the other returns sim.ErrScheduleStarted.
+func TestFreeRunCensusFailsOnUnreachableRedirector(t *testing.T) {
+	f := livetest.Start(t, freeRunConfig(t, topology.Star(4), 300*time.Millisecond))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := "http://" + ln.Addr().String()
+	ln.Close()
+	urls := f.URLs()
+	urls[live.RedirectorLocations(f.Routes(), f.Config().Sim.NumRedirectors)[0]] = closed
+	d, err := live.NewFreeDriver(f.Config(), urls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if avg, err := d.Census(); err == nil {
+		t.Fatalf("census with an unreachable redirector = %v, want an error", avg)
+	}
+	errs := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			_, err := d.Run(context.Background())
+			errs <- err
+		}()
+	}
+	started, failed := 0, 0
+	for i := 0; i < 2; i++ {
+		switch err := <-errs; {
+		case errors.Is(err, sim.ErrScheduleStarted):
+			started++
+		case err != nil:
+			failed++
+		}
+	}
+	if started != 1 || failed != 1 {
+		t.Fatalf("two concurrent runs: %d returned ErrScheduleStarted and %d failed, want 1 and 1", started, failed)
 	}
 }

@@ -78,8 +78,8 @@ func nodeStats(t *testing.T, url string) live.StatsReply {
 // CreateObj message execute the handshake once and replay the identical
 // verdict — the buildbarn-style request deduplication on the live wire.
 func TestCreateObjIdempotent(t *testing.T) {
-	h := livetest.Start(t, liveConfig(t, topology.Line(3), 9, 1, time.Minute))
-	target := h.Fleet.URL(1)
+	f := livetest.Start(t, liveConfig(t, topology.Line(3), 9, 1, time.Minute))
+	target := f.URL(1)
 	msg := &live.CreateObjMsg{
 		MsgID: 7001, From: 0, To: 1, Method: protocol.Replicate.String(),
 		Object: 0, UnitLoad: 0.5, SrcAff: 2, Now: 0,
@@ -126,8 +126,8 @@ func TestCreateObjConcurrencyLimit(t *testing.T) {
 	const limit, msgs = 2, 12
 	cfg := liveConfig(t, topology.Line(3), 24, 1, time.Minute)
 	cfg.MaxInflightCreates = limit
-	h := livetest.Start(t, cfg)
-	target := h.Fleet.URL(2)
+	f := livetest.Start(t, cfg)
+	target := f.URL(2)
 
 	var wg sync.WaitGroup
 	for i := 0; i < msgs; i++ {
@@ -163,9 +163,9 @@ func TestCreateObjConcurrencyLimit(t *testing.T) {
 // TestMalformedRPCAnswers400: a malformed control-plane body is rejected
 // with the typed wire error, not a hang or a panic.
 func TestMalformedRPCAnswers400(t *testing.T) {
-	h := livetest.Start(t, liveConfig(t, topology.Line(2), 4, 1, time.Minute))
+	f := livetest.Start(t, liveConfig(t, topology.Line(2), 4, 1, time.Minute))
 	for _, body := range []string{`{"msg_id":`, `{"msg_id":0}`, `{"msg_id":1,"method":"STEAL","src_aff":1}`} {
-		res, err := http.Post(h.Fleet.URL(0)+live.PathCreateObj, "application/json", bytes.NewReader([]byte(body)))
+		res, err := http.Post(f.URL(0)+live.PathCreateObj, "application/json", bytes.NewReader([]byte(body)))
 		if err != nil {
 			t.Fatalf("POST: %v", err)
 		}
@@ -178,7 +178,7 @@ func TestMalformedRPCAnswers400(t *testing.T) {
 			t.Fatalf("body %q: empty rejection reason", body)
 		}
 	}
-	if got := nodeStats(t, h.Fleet.URL(0)).CreateExecutions; got != 0 {
+	if got := nodeStats(t, f.URL(0)).CreateExecutions; got != 0 {
 		t.Fatalf("malformed bodies executed %d creates", got)
 	}
 }
@@ -190,9 +190,9 @@ func TestMalformedRPCAnswers400(t *testing.T) {
 // leave it wedged).
 func TestOutOfRangeIDsAnswer400(t *testing.T) {
 	cfg := liveConfig(t, topology.Line(2), 4, 1, time.Minute)
-	h := livetest.Start(t, cfg)
-	node := live.RedirectorLocations(h.Fleet.Routes(), cfg.Sim.NumRedirectors)[0]
-	url := h.Fleet.URL(node)
+	f := livetest.Start(t, cfg)
+	node := live.RedirectorLocations(f.Routes(), cfg.Sim.NumRedirectors)[0]
+	url := f.URL(node)
 	client := &http.Client{Timeout: time.Second}
 	post := func(path string, msg any) *http.Request {
 		req, _ := http.NewRequest(http.MethodPost, url+path, bytes.NewReader(live.Encode(msg)))

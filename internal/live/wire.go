@@ -452,9 +452,15 @@ type MarkMsg struct {
 // Validate implements validator.
 func (m *MarkMsg) Validate() error { return checkNode("host", m.Host) }
 
+// PoisonURL is the peer-URL sentinel that severs a control-plane edge: the
+// live RPC client fast-fails any base URL without an http scheme, so a
+// poisoned entry makes every RPC toward that peer die at the caller
+// without touching the network — the in-process model of a partition.
+const PoisonURL = "poison://partition"
+
 // PeersMsg rewrites one entry of the receiving node's peer URL table — the
-// chaos controller's partition primitive. A non-http URL (the poison
-// sentinel) makes every control RPC toward that peer fail without leaving
+// chaos controller's partition primitive. A non-http URL (PoisonURL)
+// makes every control RPC toward that peer fail without leaving
 // the node; restoring the original URL heals the partition. The serve-URL
 // manifest used for client 302s is immutable: partitions cut the control
 // plane, not the data plane.

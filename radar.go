@@ -772,8 +772,9 @@ func RunSeedsContext(ctx context.Context, cfg Config, seeds []int64, parallelism
 
 // runLive executes one configuration against an in-process loopback
 // fleet: real HTTP listeners, one per backbone node, driven through the
-// simulator's event schedule. Results use the same schema as a simulated
-// run (live-only gaps — e.g. post-run invariant sweeps — stay zero).
+// simulator's event schedule (or, free-running, paced in wall time with a
+// final census). Results use the same schema as a simulated run (live-only
+// gaps — e.g. post-run invariant sweeps — stay zero).
 func runLive(ctx context.Context, cfg Config, simCfg *sim.Config) (*Result, error) {
 	liveCfg := live.Config{
 		Sim:                *simCfg,
@@ -788,30 +789,7 @@ func runLive(ctx context.Context, cfg Config, simCfg *sim.Config) (*Result, erro
 		return nil, err
 	}
 	defer fleet.Close()
-	if cfg.LiveFreeRunning {
-		// Free-running: wait for readiness (nodes Start-ed, tickers live),
-		// generate load for the wall-clock duration, and report the real
-		// counters plus a final census — there is no virtual-time replay.
-		if err := fleet.WaitReady(10 * time.Second); err != nil {
-			return nil, err
-		}
-		free, err := live.NewFreeDriver(fleet.Config(), fleet.URLs())
-		if err != nil {
-			return nil, err
-		}
-		if err := free.Run(ctx, fleet.Config().Sim.Duration); err != nil {
-			return nil, err
-		}
-		return convert(free.Results(free.Census())), nil
-	}
-	if err := fleet.WaitHealthy(10 * time.Second); err != nil {
-		return nil, err
-	}
-	d, err := live.NewDriver(fleet.Config(), fleet.URLs())
-	if err != nil {
-		return nil, err
-	}
-	res, err := d.Run(ctx)
+	res, err := fleet.Run(ctx)
 	if err != nil {
 		return nil, err
 	}
